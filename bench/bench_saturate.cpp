@@ -1,7 +1,7 @@
 // Coherence-order saturation tier: scaling of the decide path and the
 // payoff of exporting must-precede edges into the exact search.
 //
-// Two sweeps land in BENCH_saturate.json:
+// Three sweeps land in BENCH_saturate.json:
 //
 //   Set A ("zip" traces): two histories whose reads pin every write of
 //   the other history between two of their own, so saturation forces a
@@ -23,6 +23,13 @@
 //   point to >= 2x. A differential_ok flag asserts the pruned search
 //   returned bit-identical verdicts and witnesses, so the speedup can
 //   never come from changed semantics.
+//
+//   Set C ("small" points): fleet-shaped addresses with at most 64
+//   writes — the service's common case — saturated by the closure
+//   kernel (saturate()) and by the reference condensation/DFS
+//   derivation (saturate_reference()). Every Result must be equal field
+//   for field, folded into differential_ok; kernel_speedup is the
+//   reference's batch time over the kernel's.
 
 #include <benchmark/benchmark.h>
 
@@ -30,6 +37,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,6 +49,7 @@
 #include "support/table.hpp"
 #include "trace/address_index.hpp"
 #include "vmc/exact.hpp"
+#include "workload/random.hpp"
 
 namespace {
 
@@ -87,6 +96,20 @@ Execution chain_trace(std::size_t histories, std::size_t writes) {
   }
   builder.final_value(0, value_of(0, writes - 1));
   return builder.build();
+}
+
+/// Set C: `traces` SC executions of the given shape (process, op and
+/// address counts drawn uniformly from the ranges).
+struct SmallShape {
+  const char* name;
+  std::size_t procs_lo, procs_hi;
+  std::size_t ops_lo, ops_hi;
+  std::size_t addrs_lo, addrs_hi;
+  std::size_t traces;
+};
+
+std::size_t draw(Xoshiro256ss& rng, std::size_t lo, std::size_t hi) {
+  return lo + static_cast<std::size_t>(rng.below(hi - lo + 1));
 }
 
 vmc::MustPrecede oracle_for(const saturate::Result& sat,
@@ -161,6 +184,15 @@ struct PrunePoint {
   std::uint64_t plain_states = 0;
   std::uint64_t pruned_states = 0;
   std::uint64_t oracle_prunes = 0;
+  bool differential_ok = true;
+};
+
+struct SmallPoint {
+  std::string name;
+  std::size_t addresses = 0;
+  std::size_t max_writes = 0;
+  double kernel_sec = 0;
+  double reference_sec = 0;
   bool differential_ok = true;
 };
 
@@ -270,6 +302,75 @@ void run_sweep() {
             << "  max prune speedup: " << max_prune_speedup
             << "x (trajectory gate: >= 2x)\n";
 
+  // Set C: closure kernel vs reference on fleet-shaped small addresses.
+  std::cout << "\n== closure kernel vs reference (<= 64 writes) ==\n";
+  const SmallShape small_shapes[] = {
+      // The service fleet: 2-4 procs x 32-80 ops over 4-8 addresses.
+      {"fleet", 2, 4, 32, 80, 4, 8, 64},
+      // Contended: 4 procs x 80 ops over 2 addresses, ~64 writes each.
+      {"fleet_contended", 4, 4, 80, 80, 2, 2, 32},
+  };
+  std::vector<SmallPoint> small_points;
+  for (const SmallShape& shape : small_shapes) {
+    Xoshiro256ss rng(0x5a7u + small_points.size());
+    std::vector<std::unique_ptr<Execution>> execs;
+    std::vector<std::unique_ptr<AddressIndex>> indexes;
+    std::vector<ProjectedView> views;
+    for (std::size_t t = 0; t < shape.traces; ++t) {
+      workload::MultiAddressParams params;
+      params.num_processes = draw(rng, shape.procs_lo, shape.procs_hi);
+      params.ops_per_process = draw(rng, shape.ops_lo, shape.ops_hi);
+      params.num_addresses = draw(rng, shape.addrs_lo, shape.addrs_hi);
+      params.num_values = 6;
+      params.rmw_fraction = 0.05;
+      execs.push_back(std::make_unique<Execution>(
+          workload::generate_sc(params, rng).execution));
+      indexes.push_back(std::make_unique<AddressIndex>(*execs.back()));
+      const AddressIndex& index = *indexes.back();
+      for (std::size_t i = 0; i < index.num_addresses(); ++i)
+        if (index.entry(i).write_count <= saturate::kClosureMaxWrites)
+          views.push_back(index.view_at(i));
+    }
+    SmallPoint point;
+    point.name = shape.name;
+    point.addresses = views.size();
+    for (const ProjectedView& view : views) {
+      point.max_writes =
+          std::max<std::size_t>(point.max_writes, view.stats().write_count);
+      point.differential_ok =
+          point.differential_ok &&
+          saturate::saturate(view) == saturate::saturate_reference(view);
+    }
+    differential_ok = differential_ok && point.differential_ok;
+    const auto batch = [&](auto&& derive) {
+      std::size_t edges = 0;
+      for (const ProjectedView& view : views) edges += derive(view).edges.size();
+      return edges;
+    };
+    point.kernel_sec = time_run([&] {
+      return batch([](const ProjectedView& v) { return saturate::saturate(v); });
+    });
+    point.reference_sec = time_run([&] {
+      return batch(
+          [](const ProjectedView& v) { return saturate::saturate_reference(v); });
+    });
+    small_points.push_back(std::move(point));
+  }
+
+  TextTable small_table(
+      {"point", "addresses", "max writes", "kernel", "reference", "speedup"});
+  for (const SmallPoint& point : small_points) {
+    std::snprintf(buf, sizeof buf, "%.2fx",
+                  point.reference_sec / point.kernel_sec);
+    small_table.add_row({point.name, std::to_string(point.addresses),
+                         std::to_string(point.max_writes),
+                         human_nanos(point.kernel_sec * 1e9),
+                         human_nanos(point.reference_sec * 1e9), buf});
+  }
+  small_table.print(std::cout);
+  std::cout << "differential (all sets): "
+            << (differential_ok ? "ok" : "DIVERGED") << "\n";
+
   std::ofstream json("BENCH_saturate.json");
   json << "{\n  \"bench\": \"saturate\",\n"
        << "  \"differential_ok\": " << (differential_ok ? "true" : "false")
@@ -297,6 +398,19 @@ void run_sweep() {
          << ", \"differential_ok\": "
          << (point.differential_ok ? "true" : "false") << "}"
          << (i + 1 < prune_points.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n  \"small_points\": [\n";
+  for (std::size_t i = 0; i < small_points.size(); ++i) {
+    const SmallPoint& point = small_points[i];
+    json << "    {\"name\": \"" << point.name
+         << "\", \"addresses\": " << point.addresses
+         << ", \"max_writes\": " << point.max_writes
+         << ", \"kernel_sec\": " << point.kernel_sec
+         << ", \"reference_sec\": " << point.reference_sec
+         << ", \"kernel_speedup\": " << point.reference_sec / point.kernel_sec
+         << ", \"differential_ok\": "
+         << (point.differential_ok ? "true" : "false") << "}"
+         << (i + 1 < small_points.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   std::cout << "wrote BENCH_saturate.json\n";

@@ -237,6 +237,7 @@ CheckResult saturate_then_exact(const ProjectedView& view,
       span.attr("rounds", r.rounds);
       span.attr("branch_points", r.branch_points);
       span.attr("status", saturate::to_string(r.status));
+      span.attr("kernel", saturate::kernel_name(r.num_writes()));
     }
     return r;
   }();

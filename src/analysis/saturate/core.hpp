@@ -15,16 +15,31 @@
 //      write half o of an RMW, s -> o.
 //   R2 (candidate pruning): a candidate w is impossible for r if
 //      w ->* xm with w != xm (w is strictly overwritten before r), or
-//      n ->* w (w lands after r). Reachability is answered by
-//      budgeted DFS over the SCC condensation of the current direct
-//      edges: strongly connected clusters (which arise transiently
-//      within a round, between a cycle-closing R1 pin and the
-//      post-round cycle check) collapse to single DAG nodes, so dense
-//      graphs cost one component visit where the raw walk would re-tour
-//      the whole cluster. The condensation is rebuilt lazily when edges
-//      were added; a stale build only under-approximates reachability
-//      (edges are never removed), and a partial DFS likewise, so
-//      pruning stays sound either way.
+//      n ->* w (w lands after r).
+//
+// One driver seeds the graph, collects the read obligations and runs
+// the fixpoint; only the graph representation varies, chosen by the
+// address's write count:
+//
+//   closure kernel (<= kClosureMaxWrites writes): every node keeps
+//      64-bit masks of its direct successors/predecessors and of its
+//      transitive descendants/ancestors, and each read its candidate
+//      set as one mask. An edge insertion updates the closure in O(w),
+//      an R2 query is two mask ANDs, a cycle is a diagonal bit and the
+//      forced-order pass pops the lowest ready bit.
+//   reference (more writes): R2 reachability is a budgeted DFS over
+//      the SCC condensation of the current direct edges, so a strongly
+//      connected cluster (transient within a round, between a
+//      cycle-closing R1 pin and the post-round cycle check) costs one
+//      component visit. The condensation is rebuilt lazily when edges
+//      were added; a partial DFS only under-approximates reachability,
+//      so pruning stays sound.
+//
+// Both produce field-for-field identical Results, stats included: the
+// kernel charges each R2 query the components the reference DFS would
+// visit. The one exception is a query the reference cannot finish
+// within reach_budget: the kernel still answers it exactly (sound) and
+// sets budget_hit as the reference does, but later fields may differ.
 //
 // Every emitted edge is *necessary* — implied by the trace alone — so
 // the derivation is sound regardless of how early it stops
@@ -42,6 +57,7 @@
 // (which re-derives the graph independently) link it without creating
 // a layering cycle.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -95,6 +111,8 @@ struct Contradiction {
   OpRef other{};  ///< the conflicting write (kReadBeforeWrite: the later
                   ///< unique write; kStaleInitialRead: the earlier write)
   Value value = 0;  ///< the read value / recorded final value
+
+  friend bool operator==(const Contradiction&, const Contradiction&) = default;
 };
 
 struct Result {
@@ -133,12 +151,30 @@ struct Result {
                                   ///< search/§5.2 can certify it
 
   [[nodiscard]] std::size_t num_writes() const noexcept { return writes.size(); }
+
+  friend bool operator==(const Result&, const Result&) = default;
 };
 
-/// Saturates the constraint graph of one projected address. Pure
-/// function of the trace: no logs, no metrics, no global state — the
-/// certificate checker calls it to re-derive evidence independently.
+/// Addresses with at most this many writes run the closure kernel.
+inline constexpr std::size_t kClosureMaxWrites = 64;
+
+/// Which derivation saturate() runs for an address with `num_writes`
+/// writes ("closure" or "reference"); the router's span attribute.
+[[nodiscard]] constexpr const char* kernel_name(std::size_t num_writes) noexcept {
+  return num_writes <= kClosureMaxWrites ? "closure" : "reference";
+}
+
+/// Saturates the constraint graph of one projected address with the
+/// closure kernel (at most kClosureMaxWrites writes) or the reference
+/// derivation. Pure function of the trace: no logs, no metrics, no
+/// global state.
 [[nodiscard]] Result saturate(const ProjectedView& view, const Options& options = {});
+
+/// The condensation/DFS derivation regardless of write count: the path
+/// for addresses above kClosureMaxWrites, and the independent
+/// re-derivation the certificate checker and the differential tests use.
+[[nodiscard]] Result saturate_reference(const ProjectedView& view,
+                                        const Options& options = {});
 
 /// True iff edge (a, b) is derivable from `result`'s direct edges by
 /// transitivity (DFS over the direct graph; used by the checker).

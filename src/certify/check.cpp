@@ -502,7 +502,10 @@ CheckOutcome check_search_exhaustion(const Execution& exec, Scope scope,
 // Re-derive the saturated must-precede graph from the trace alone (the
 // derivation emits only edges necessary in any coherent write order) and
 // verify every claimed cycle edge is derivable by transitivity. A closed
-// chain of necessary edges leaves no coherent serialization.
+// chain of necessary edges leaves no coherent serialization. Both
+// saturation checks use the reference derivation, never the closure
+// kernel the router runs, so a kernel defect is rejected here instead
+// of confirming itself.
 CheckOutcome check_saturation_cycle(const Execution& exec, const Incoherence& e) {
   if (e.ops.size() < 2)
     return fail("saturation-cycle: fewer than two writes in the cycle");
@@ -516,7 +519,8 @@ CheckOutcome check_saturation_cycle(const Execution& exec, const Incoherence& e)
   const AddressIndex index(exec);
   if (index.find(e.addr) == nullptr)
     return fail("saturation-cycle: no operations on the address");
-  const saturate::Result derived = saturate::saturate(index.view(e.addr));
+  const saturate::Result derived =
+      saturate::saturate_reference(index.view(e.addr));
   const auto key = [](OpRef ref) {
     return (static_cast<std::uint64_t>(ref.process) << 32) | ref.index;
   };
@@ -554,7 +558,7 @@ CheckOutcome check_forced_order_refutation(const Execution& exec,
   if (index.find(e.addr) == nullptr)
     return fail("forced-order-refutation: no operations on the address");
   const ProjectedView view = index.view(e.addr);
-  const saturate::Result derived = saturate::saturate(view);
+  const saturate::Result derived = saturate::saturate_reference(view);
   if (derived.status != saturate::Status::kForcedTotal)
     return fail(std::string("forced-order-refutation: saturation does not "
                             "force a total order (status ") +

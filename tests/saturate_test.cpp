@@ -4,12 +4,16 @@
 // their independent re-checking, the must-precede pruning oracle's
 // bit-identical-search guarantee, the CNF order hints, and the
 // graph-derived lint rules W005/W006 plus the W002 final-section
-// regression.
+// regression, and the closure kernel's field-for-field agreement with
+// the reference derivation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bitset>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -20,6 +24,8 @@
 #include "certify/check.hpp"
 #include "encode/vmc_to_cnf.hpp"
 #include "sat/solver.hpp"
+#include "sim/machine.hpp"
+#include "sim/program.hpp"
 #include "trace/address_index.hpp"
 #include "trace/schedule.hpp"
 #include "vmc/checker.hpp"
@@ -451,6 +457,296 @@ TEST(SaturateEncode, HintedEncodingPreservesSatisfiability) {
                                     << ": order hints changed the verdict";
     }
   }
+}
+
+// --- closure kernel vs reference derivation -------------------------------
+
+/// Compares every Result field; `ctx` names the case on failure.
+void expect_same(const saturate::Result& kernel, const saturate::Result& ref,
+                 const std::string& ctx) {
+  EXPECT_EQ(kernel.status, ref.status) << ctx;
+  EXPECT_EQ(kernel.writes, ref.writes) << ctx;
+  EXPECT_EQ(kernel.writes_local, ref.writes_local) << ctx;
+  EXPECT_EQ(kernel.edges, ref.edges) << ctx;
+  EXPECT_EQ(kernel.cycle, ref.cycle) << ctx;
+  EXPECT_EQ(kernel.forced, ref.forced) << ctx;
+  EXPECT_EQ(kernel.contradiction.has_value(), ref.contradiction.has_value())
+      << ctx;
+  if (kernel.contradiction && ref.contradiction) {
+    EXPECT_EQ(kernel.contradiction->kind, ref.contradiction->kind) << ctx;
+    EXPECT_EQ(kernel.contradiction->read, ref.contradiction->read) << ctx;
+    EXPECT_EQ(kernel.contradiction->other, ref.contradiction->other) << ctx;
+    EXPECT_EQ(kernel.contradiction->value, ref.contradiction->value) << ctx;
+  }
+  EXPECT_EQ(kernel.rounds, ref.rounds) << ctx;
+  EXPECT_EQ(kernel.reach_queries, ref.reach_queries) << ctx;
+  EXPECT_EQ(kernel.scc_builds, ref.scc_builds) << ctx;
+  EXPECT_EQ(kernel.scc_components, ref.scc_components) << ctx;
+  EXPECT_EQ(kernel.branch_points, ref.branch_points) << ctx;
+  EXPECT_EQ(kernel.max_concurrent, ref.max_concurrent) << ctx;
+  EXPECT_EQ(kernel.unordered_example, ref.unordered_example) << ctx;
+  EXPECT_EQ(kernel.budget_hit, ref.budget_hit) << ctx;
+  EXPECT_EQ(kernel.pruned_empty_read, ref.pruned_empty_read) << ctx;
+  EXPECT_TRUE(kernel == ref) << ctx;  // catches fields added later
+}
+
+/// Which write counts, and how many addresses, took the closure kernel.
+struct KernelCoverage {
+  std::bitset<saturate::kClosureMaxWrites + 1> write_counts;
+  std::size_t addresses = 0;
+};
+
+/// Runs saturate() and the reference on every address of `exec`.
+void expect_kernel_matches(const Execution& exec, const std::string& ctx,
+                           KernelCoverage* coverage = nullptr) {
+  const AddressIndex index(exec);
+  for (std::size_t i = 0; i < index.num_addresses(); ++i) {
+    const ProjectedView view = index.view_at(i);
+    const saturate::Result kernel = saturate::saturate(view);
+    const saturate::Result ref = saturate::saturate_reference(view);
+    expect_same(kernel, ref, ctx + " addr " + std::to_string(view.addr()));
+    if (coverage && kernel.num_writes() <= saturate::kClosureMaxWrites) {
+      coverage->write_counts.set(kernel.num_writes());
+      ++coverage->addresses;
+    }
+  }
+}
+
+/// A copy of `exec` whose read at `ref` observes `value` instead.
+Execution with_read_value(const Execution& exec, OpRef ref, Value value) {
+  Execution out;
+  for (std::uint32_t p = 0; p < exec.num_processes(); ++p) {
+    std::vector<Operation> ops = exec.history(p).ops();
+    if (p == ref.process) ops[ref.index].value_read = value;
+    out.add_history(ProcessHistory{std::move(ops)});
+  }
+  for (const auto& [addr, v] : exec.initial_values())
+    out.set_initial_value(addr, v);
+  for (const auto& [addr, v] : exec.final_values()) out.set_final_value(addr, v);
+  return out;
+}
+
+/// Some read of `exec`, or nullopt when it has none.
+std::optional<OpRef> random_read(const Execution& exec, Xoshiro256ss& rng) {
+  std::vector<OpRef> reads;
+  for (std::uint32_t p = 0; p < exec.num_processes(); ++p)
+    for (std::uint32_t j = 0; j < exec.history(p).size(); ++j)
+      if (exec.op(OpRef{p, j}).reads_memory()) reads.push_back(OpRef{p, j});
+  if (reads.empty()) return std::nullopt;
+  return reads[rng.below(reads.size())];
+}
+
+/// A coherent one-address trace with exactly `num_writes` writing ops:
+/// a random interleaving of 2-5 histories whose reads observe the
+/// current value and whose writes (a few of them RMWs) draw from a small
+/// value pool, so values repeat and the trace stays in the general
+/// fragment.
+Execution address_with_writes(std::size_t num_writes, Xoshiro256ss& rng) {
+  std::vector<std::vector<Operation>> histories(2 + rng.below(4));
+  const std::uint64_t pool = 2 + rng.below(5);
+  Value memory = 0;
+  for (std::size_t written = 0; written < num_writes;) {
+    std::vector<Operation>& ops = histories[rng.below(histories.size())];
+    if (rng.chance(0.5)) {
+      ops.push_back(R(0, memory));
+      continue;
+    }
+    const auto value = static_cast<Value>(1 + rng.below(pool));
+    ops.push_back(rng.chance(0.1) ? RW(0, memory, value) : W(0, value));
+    memory = value;
+    ++written;
+  }
+  ExecutionBuilder builder;
+  for (std::vector<Operation>& ops : histories)
+    builder.process_ops(std::move(ops));
+  if (rng.chance(0.5)) builder.final_value(0, memory);
+  return builder.build();
+}
+
+TEST(SaturateKernel, SelectedByWriteCount) {
+  EXPECT_STREQ(saturate::kernel_name(0), "closure");
+  EXPECT_STREQ(saturate::kernel_name(64), "closure");
+  EXPECT_STREQ(saturate::kernel_name(65), "reference");
+}
+
+// Every write count from 1 to 66 (the 63/64/65 boundary included),
+// coherent and with one read rewritten to a random pool value.
+TEST(SaturateKernel, MatchesReferenceAtEveryWriteCount) {
+  KernelCoverage covered;
+  for (std::size_t writes = 1; writes <= 66; ++writes) {
+    for (std::uint64_t rep = 0; rep < 4; ++rep) {
+      Xoshiro256ss rng(writes * 1000 + rep);
+      const Execution exec = address_with_writes(writes, rng);
+      const std::string ctx =
+          "writes " + std::to_string(writes) + " rep " + std::to_string(rep);
+      expect_kernel_matches(exec, ctx, &covered);
+      if (const auto read = random_read(exec, rng)) {
+        const auto stale = static_cast<Value>(rng.below(4));
+        expect_kernel_matches(with_read_value(exec, *read, stale),
+                              ctx + " perturbed");
+      }
+    }
+  }
+  for (std::size_t writes = 1; writes <= saturate::kClosureMaxWrites; ++writes)
+    EXPECT_TRUE(covered.write_counts.test(writes)) << "write count " << writes;
+  // Writes 65 and 66 ran the reference on both sides.
+  EXPECT_EQ(covered.addresses, 4 * saturate::kClosureMaxWrites);
+}
+
+// 240 seeds of the shapes the service sees: multi-address SC traces,
+// the same with a planted never-written read, fault-injected
+// single-address traces and MESI simulator runs with protocol faults.
+TEST(SaturateKernel, MatchesReferenceOnRandomCorpora) {
+  KernelCoverage covered;
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    Xoshiro256ss rng(seed * 0x9e3779b97f4a7c15ull);
+    const std::string ctx = "seed " + std::to_string(seed);
+
+    workload::MultiAddressParams multi;
+    multi.num_processes = 2 + seed % 5;
+    multi.ops_per_process = 16 + rng.below(100);
+    multi.num_addresses = 1 + seed % 8;
+    multi.num_values = 2 + seed % 7;
+    multi.rmw_fraction = seed % 3 == 0 ? 0.0 : 0.1;
+    const workload::GeneratedMultiTrace sc = workload::generate_sc(multi, rng);
+    expect_kernel_matches(sc.execution, ctx + " sc", &covered);
+    if (const auto read = random_read(sc.execution, rng))
+      expect_kernel_matches(with_read_value(sc.execution, *read, 1'000'000),
+                            ctx + " planted");
+
+    workload::SingleAddressParams single;
+    single.num_histories = 2 + seed % 4;
+    single.ops_per_history = 6 + rng.below(20);
+    single.num_values = 2 + seed % 3;
+    const workload::GeneratedTrace trace =
+        workload::generate_coherent(single, rng);
+    const auto fault = static_cast<workload::Fault>(seed % 4);
+    if (auto faulty = workload::inject_fault(trace, fault, rng))
+      expect_kernel_matches(*faulty, ctx + " " + workload::to_string(fault));
+
+    sim::RandomProgramParams programs;
+    programs.num_cores = 2 + seed % 3;
+    programs.requests_per_core = 32 + rng.below(48);
+    programs.num_addresses = 4 + seed % 5;
+    sim::SimConfig config;
+    config.num_cores = programs.num_cores;
+    config.cache_lines = 4;
+    config.seed = seed;
+    config.faults.drop_invalidation = 0.05;
+    config.faults.stale_fill = 0.05;
+    const sim::SimResult run =
+        sim::run_programs(sim::random_programs(programs, rng), config);
+    expect_kernel_matches(run.execution, ctx + " sim");
+  }
+  EXPECT_GT(covered.addresses, 500u);
+}
+
+/// k histories, history i writing value i+1 and then reading history
+/// (i+1) mod k's value: each read pins its successor after its own
+/// write, closing a k-cycle W1 -> W2 -> ... -> Wk -> W1.
+Execution read_ring(std::size_t k) {
+  ExecutionBuilder builder;
+  for (std::size_t i = 0; i < k; ++i)
+    builder.process(W(0, static_cast<Value>(i + 1)),
+                    R(0, static_cast<Value>((i + 1) % k + 1)));
+  return builder.build();
+}
+
+TEST(SaturateKernel, MatchesReferenceOnCycleShapes) {
+  for (std::size_t k = 2; k <= 66; ++k) {
+    const Execution exec = read_ring(k);
+    const AddressIndex index(exec);
+    const saturate::Result kernel = saturate::saturate(index.view_at(0));
+    EXPECT_EQ(kernel.status, Status::kCycle) << "ring " << k;
+    EXPECT_EQ(kernel.cycle.size(), k) << "ring " << k;
+    expect_kernel_matches(exec, "ring " + std::to_string(k));
+  }
+  // The final-value pin against program order: cyclic at the seeds.
+  expect_kernel_matches(ExecutionBuilder()
+                            .process(W(0, 1), W(0, 2))
+                            .process(W(0, 3))
+                            .final_value(0, 1)
+                            .build(),
+                        "seed cycle");
+  // The transient two-node cluster the SccCondensation tests use, and
+  // the same cluster plus an unrelated forced chain.
+  expect_kernel_matches(ExecutionBuilder()
+                            .process(W(0, 1), R(0, 2))
+                            .process(W(0, 2), R(0, 1), R(0, 3))
+                            .process(W(0, 3))
+                            .process(W(0, 3))
+                            .build(),
+                        "transient cluster");
+  expect_kernel_matches(ExecutionBuilder()
+                            .process(W(0, 1), R(0, 2), W(0, 4), R(0, 5))
+                            .process(W(0, 2), R(0, 1), W(0, 5))
+                            .process(W(0, 3), R(0, 4))
+                            .process(W(0, 3))
+                            .build(),
+                        "cluster plus chain");
+}
+
+// Past reach_budget the kernel answers exactly instead of replaying the
+// reference's partial walk. Sweeping every budget up to what the
+// derivation needs hits the exact exhaustion boundary: the kernel must
+// flag budget_hit exactly when the reference does (charging each query
+// the components the reference DFS visits, transient clusters
+// included), agree fully when neither runs out, and emit only edges
+// that hold in the generating write order.
+TEST(SaturateKernel, BudgetSemantics) {
+  struct Case {
+    Execution exec;
+    std::vector<OpRef> write_order;  // empty: not coherent by construction
+  };
+  std::vector<Case> cases;
+  cases.push_back({ExecutionBuilder()
+                       .process(W(0, 1), R(0, 2))
+                       .process(W(0, 2), R(0, 1), R(0, 3), R(0, 4))
+                       .process(W(0, 3), W(0, 4))
+                       .process(W(0, 3), W(0, 4))
+                       .build(),
+                   {}});
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Xoshiro256ss rng(seed * 0xd1342543de82ef95ull);
+    workload::SingleAddressParams params;
+    params.num_histories = 3 + seed % 3;
+    params.ops_per_history = 12;
+    params.num_values = 3;
+    workload::GeneratedTrace trace = workload::generate_coherent(params, rng);
+    cases.push_back({std::move(trace.execution), std::move(trace.write_order)});
+  }
+  std::size_t exhausted = 0;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const AddressIndex index(cases[c].exec);
+    if (index.num_addresses() == 0) continue;
+    const ProjectedView view = index.view_at(0);
+    std::unordered_map<std::uint64_t, std::size_t> pos;
+    const auto key = [](OpRef ref) {
+      return (static_cast<std::uint64_t>(ref.process) << 32) | ref.index;
+    };
+    for (std::size_t i = 0; i < cases[c].write_order.size(); ++i)
+      pos.emplace(key(cases[c].write_order[i]), i);
+    for (std::uint64_t budget = 0;; ++budget) {
+      saturate::Options options;
+      options.reach_budget = budget;
+      const saturate::Result kernel = saturate::saturate(view, options);
+      const saturate::Result ref = saturate::saturate_reference(view, options);
+      const std::string ctx =
+          "case " + std::to_string(c) + " budget " + std::to_string(budget);
+      ASSERT_EQ(kernel.budget_hit, ref.budget_hit) << ctx;
+      for (const auto& [a, b] : kernel.edges) {
+        if (pos.empty()) break;
+        EXPECT_LT(pos.at(key(kernel.writes[a])), pos.at(key(kernel.writes[b])))
+            << ctx << ": unsound edge past the budget";
+      }
+      if (!ref.budget_hit) {
+        expect_same(kernel, ref, ctx);
+        break;
+      }
+      ++exhausted;
+    }
+  }
+  EXPECT_GT(exhausted, 100u);
 }
 
 // --- lint: W002 regression, W005, W006 ------------------------------------
