@@ -49,6 +49,19 @@ workload::GeneratedTrace contended_trace(std::size_t histories,
   return workload::generate_coherent(params, rng);
 }
 
+/// The perfbench `hard` coherence shape: 6 histories of `ops` operations
+/// on one address, 2 values, 20% RMW, drawn as an SC trace.
+Execution hard6_trace(std::size_t ops, std::uint64_t seed) {
+  workload::MultiAddressParams params;
+  params.num_processes = 6;
+  params.ops_per_process = ops;
+  params.num_addresses = 1;
+  params.num_values = 2;
+  params.rmw_fraction = 0.2;
+  Xoshiro256ss rng(seed);
+  return workload::generate_sc(params, rng).execution;
+}
+
 Execution sc_trace(std::size_t processes, std::size_t ops_per_process,
                    std::size_t addresses, std::uint64_t seed) {
   workload::MultiAddressParams params;
@@ -140,12 +153,11 @@ void run_sweep() {
       {"vmc_contended", 5, 12, true},
       {"vmc_contended_wide", 6, 12, true},
   };
-  for (const VmcShape& shape : vmc_shapes) {
-    const auto trace = contended_trace(shape.histories, shape.ops, 11);
-    const vmc::VmcInstance instance{trace.execution, 0};
+  const auto add_vmc_point = [&](const char* name, bool alloc_bound,
+                                 const vmc::VmcInstance& instance) {
     HotpathPoint point;
-    point.name = shape.name;
-    point.alloc_bound = shape.alloc_bound;
+    point.name = name;
+    point.alloc_bound = alloc_bound;
     const auto now = vmc::check_exact(instance);
     const auto legacy = vmc::check_exact_legacy(instance);
     point.differential_ok = same_search(now, legacy);
@@ -154,7 +166,15 @@ void run_sweep() {
         time_run([&] { return vmc::check_exact_legacy(instance); });
     point.new_sec = time_run([&] { return vmc::check_exact(instance); });
     points.push_back(std::move(point));
+  };
+  for (const VmcShape& shape : vmc_shapes) {
+    const auto trace = contended_trace(shape.histories, shape.ops, 11);
+    add_vmc_point(shape.name, shape.alloc_bound, {trace.execution, 0});
   }
+  // The `hard` workload's certified-coherence shape: a one-word packed
+  // key (6 x 5 position bits + 1 value bit) over ~10^5 states, where the
+  // legacy side allocates a key per state.
+  add_vmc_point("vmc_hard6", true, {hard6_trace(20, 17), 0});
 
   struct ScShape {
     const char* name;

@@ -4,16 +4,16 @@
 
 #include "support/arena.hpp"
 #include "support/flat_set.hpp"
+#include "vmc/packed_instance.hpp"
 
 namespace vermem::vmc {
 
 // Breadth-first frontier over the same packed state keys the exact DFS
-// uses: one position word per history plus the current value split into
-// two words. Dedup and key storage are shared with the exact path via
-// support/flat_set.hpp — the FlatKeySet's dense insertion ids double as
-// the parent links for witness reconstruction, so the per-state cost is
-// one arena-resident key plus one ParentLink, with no per-state heap
-// allocation.
+// uses (vmc/packed_instance.hpp). Dedup is the shared FlatKeySet; its
+// dense insertion ids double as the parent links for witness
+// reconstruction and index an id-ordered copy of each key, so the
+// per-state cost is one key row plus one ParentLink in the arena, with
+// no per-state heap allocation.
 CheckResult check_bounded_k(const VmcInstance& instance,
                             const BoundedKOptions& options) {
   if (const auto why = instance.malformed())
@@ -25,12 +25,13 @@ CheckResult check_bounded_k(const VmcInstance& instance,
                                     std::to_string(options.max_histories) +
                                     " histories");
 
-  const Execution& exec = instance.execution;
   const std::size_t total_ops = instance.num_operations();
   SearchStats stats;
 
   Arena arena;
-  FlatKeySet visited(arena, k + 2);
+  const PackedInstance packed(instance, arena);
+  const std::size_t words = packed.words();
+  FlatKeySet visited(arena, words);
   const auto with_arena = [&](CheckResult result) {
     result.stats.arena_reserved = arena.stats().reserved;
     result.stats.arena_high_water = arena.stats().high_water;
@@ -38,38 +39,23 @@ CheckResult check_bounded_k(const VmcInstance& instance,
     return result;
   };
 
-  /// Parent links for witness reconstruction, indexed by the visited
-  /// set's dense key ids: id -> (parent id, the OpRef scheduled to get
-  /// here). The start state's parent is kNone.
+  /// Per visited-set id: the key (`words` words at id * words) and the
+  /// parent link (parent id, the OpRef scheduled to get here). The start
+  /// state's parent is kNone.
   struct ParentLink {
     std::uint32_t parent;
     OpRef via;
   };
+  ArenaVec<std::uint64_t> keys(arena);
   ArenaVec<ParentLink> parents(arena);
-
-  std::vector<std::uint32_t> key_buf(k + 2, 0);
-  const auto pack_value = [&](Value value) {
-    key_buf[k] = static_cast<std::uint32_t>(static_cast<std::uint64_t>(value));
-    key_buf[k + 1] =
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(value) >> 32);
+  const auto record = [&](const std::uint64_t* key, ParentLink link) {
+    for (std::size_t w = 0; w < words; ++w) keys.push_back(key[w]);
+    parents.push_back(link);
+    ++stats.states_visited;
   };
 
-  const Value initial = instance.initial_value();
-  pack_value(initial);  // key_buf positions are already all zero
-  const std::uint32_t start_id = visited.insert(key_buf.data()).id;
-  parents.push_back({FlatKeySet::kNone, {}});
-  ++stats.states_visited;
-
-  std::vector<std::uint32_t> level{start_id};
-  std::vector<std::uint32_t> positions(k, 0);
-  Value value = 0;
-  const auto unpack = [&](std::uint32_t id) {
-    const std::uint32_t* words = visited.key(id);
-    positions.assign(words, words + k);
-    value = static_cast<Value>(
-        static_cast<std::uint64_t>(words[k]) |
-        (static_cast<std::uint64_t>(words[k + 1]) << 32));
-  };
+  const std::uint32_t start_id = visited.insert(packed.initial_key()).id;
+  record(packed.initial_key(), {FlatKeySet::kNone, {}});
 
   const auto build_witness = [&](std::uint32_t id) {
     Schedule schedule;
@@ -81,6 +67,9 @@ CheckResult check_bounded_k(const VmcInstance& instance,
     return schedule;
   };
 
+  std::uint64_t* state = arena.allocate_array<std::uint64_t>(words);
+  std::uint64_t* next = arena.allocate_array<std::uint64_t>(words);
+  std::vector<std::uint32_t> level{start_id};
   std::vector<std::uint32_t> next_level;
   for (std::size_t step = 0; step < total_ops; ++step) {
     next_level.clear();
@@ -94,26 +83,24 @@ CheckResult check_bounded_k(const VmcInstance& instance,
               certify::UnknownReason::kDeadline, "deadline exceeded", stats));
         if (options.cancel && options.cancel->cancelled())
           return with_arena(CheckResult::unknown(
-              certify::UnknownReason::kSkipped, "cancelled", stats));
+              certify::UnknownReason::kCancelled, "cancelled", stats));
       }
 
-      unpack(id);
-      std::copy(positions.begin(), positions.end(), key_buf.begin());
+      // Copied out: recording successors may move `keys`.
+      std::copy_n(keys.data() + id * words, words, state);
+      const std::uint32_t value = packed.value(state);
       for (std::uint32_t p = 0; p < k; ++p) {
-        const auto& history = exec.history(p);
-        if (positions[p] >= history.size()) continue;
-        const Operation& op = history[positions[p]];
-        if (op.reads_memory() && op.value_read != value) continue;
+        const PackedInstance::History& h = packed.history(p);
+        const std::uint32_t pos = PackedInstance::position(state, h);
+        const PackedInstance::Op op = h.ops[pos];  // sentinel: never enabled
+        if (op.read != PackedInstance::kNone && op.read != value) continue;
         ++stats.transitions;
 
-        key_buf[p] = positions[p] + 1;
-        pack_value(op.writes_memory() ? op.value_written : value);
-        const auto inserted = visited.insert(key_buf.data());
-        key_buf[p] = positions[p];
-
+        std::copy_n(state, words, next);
+        packed.apply(next, h, op);
+        const auto inserted = visited.insert(next);
         if (!inserted.fresh) continue;
-        parents.push_back({id, OpRef{p, positions[p]}});
-        ++stats.states_visited;
+        record(next, {id, OpRef{p, pos}});
         next_level.push_back(inserted.id);
       }
     }
@@ -129,12 +116,9 @@ CheckResult check_bounded_k(const VmcInstance& instance,
 
   // All operations scheduled: any final state with an acceptable value
   // wins.
-  const auto fin = instance.final_value();
-  for (const std::uint32_t id : level) {
-    unpack(id);
-    if (!fin || value == *fin)
+  for (const std::uint32_t id : level)
+    if (packed.final_ok(keys.data() + id * words))
       return with_arena(CheckResult::yes(build_witness(id), stats));
-  }
   return with_arena(CheckResult::no(
       certify::search_exhaustion(instance.addr, stats.states_visited,
                                  stats.transitions),

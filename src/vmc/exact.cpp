@@ -7,60 +7,56 @@
 #include "obs/span.hpp"
 #include "support/arena.hpp"
 #include "support/flat_set.hpp"
+#include "vmc/packed_instance.hpp"
 
 namespace vermem::vmc {
 
 namespace {
 
-// The search state is packed into a fixed-stride key: one position word
-// per history, then the current value split into two 32-bit halves. Keys
-// live inline in the arena, deduped by the open-addressing FlatKeySet —
-// no per-state heap allocation, no node-based hash table. The DFS frame
-// stack is SoA: all position rows in one contiguous array, scalar
-// bookkeeping (value, base schedule length, next branching choice) in
-// parallel vectors, so restoring a frame and enumerating successors walk
-// dense memory. See docs/ALGORITHMS.md §12 and exact_legacy.cpp for the
+// The search runs on PackedInstance keys (vmc/packed_instance.hpp): the
+// state is W bit-packed words, W = 1 whenever the fields fit 64 bits.
+// Scheduling an op is an add plus a masked store on the key, completion
+// is one masked compare, and the visited set keeps the keys inline in
+// its slots (support/flat_set.hpp). The DFS frame stack is SoA: one key
+// row per frame plus the frame's next branching choice; no schedule is
+// kept while searching, the witness is replayed from the choices on
+// success. See docs/ALGORITHMS.md §12 and exact_legacy.cpp for the
 // pre-rework shape this replaces (kept as the differential oracle).
 class ExactSearch {
  public:
-  ExactSearch(const VmcInstance& instance, const ExactOptions& options)
+  using History = PackedInstance::History;
+  using Op = PackedInstance::Op;
+
+  ExactSearch(const VmcInstance& instance, const ExactOptions& options,
+              Arena& arena)
       : instance_(instance),
         options_(options),
-        k_(instance.num_histories()),
-        positions_(k_, 0),
-        visited_(arena_, k_ + 2),
-        key_buf_(k_ + 2, 0) {}
+        packed_(instance, arena),
+        k_(static_cast<std::uint32_t>(packed_.num_histories())),
+        words_(packed_.words()),
+        key_(arena.allocate_array<std::uint64_t>(2 * words_)),
+        visited_(arena, words_) {}
+
+  [[nodiscard]] std::size_t key_words() const noexcept { return words_; }
 
   CheckResult run() {
-    CheckResult result = search();
-    const ArenaStats& arena = arena_.stats();
-    result.stats.arena_reserved = arena.reserved;
-    result.stats.arena_high_water = arena.high_water;
-    result.stats.arena_allocations = arena.allocations;
-    return result;
-  }
-
- private:
-  CheckResult search() {
-    if (const auto why = instance_.malformed())
-      return CheckResult::unknown(certify::UnknownReason::kMalformed, *why);
-
-    value_ = instance_.initial_value();
-    if (options_.eager_reads) close_reads();
-    if (complete()) {
+    std::copy_n(packed_.initial_key(), words_, key_);
+    if (options_.eager_reads) close_reads(key_, nullptr);
+    if (packed_.complete(key_)) {
       // Complete without scheduling a write: the instance has no writes
       // (only pure reads of the initial value were consumed), so a final
       // value other than the initial one is unwritable.
-      return final_ok() ? CheckResult::yes(schedule_, stats_)
-                        : CheckResult::no(
-                              certify::unwritable_final(
-                                  instance_.addr, *instance_.final_value()),
-                              stats_);
+      return packed_.final_ok(key_)
+                 ? CheckResult::yes(witness(), stats_)
+                 : CheckResult::no(
+                       certify::unwritable_final(instance_.addr,
+                                                 *instance_.final_value()),
+                       stats_);
     }
     remember_current();
     push_frame();
 
-    while (!frame_value_.empty()) {
+    while (!next_choice_.empty()) {
       if (budget_exhausted()) {
         if (options_.deadline.expired())
           return CheckResult::unknown(certify::UnknownReason::kDeadline,
@@ -72,24 +68,29 @@ class ExactSearch {
                                     "search budget exhausted", stats_);
       }
 
-      // Restore the top frame's state: one contiguous row copy.
-      const std::size_t top = frame_value_.size() - 1;
-      const std::uint32_t* row = frame_positions_.data() + top * k_;
-      std::copy(row, row + k_, positions_.begin());
-      value_ = frame_value_[top];
-      schedule_.resize(frame_base_len_[top]);
+      // Restore the top frame's state: one key row.
+      const std::size_t top = next_choice_.size() - 1;
+      const std::uint64_t* row = frame_keys_.data() + top * words_;
+      for (std::size_t w = 0; w < words_; ++w) key_[w] = row[w];
 
       // Find the next enabled candidate. With eager reads, pure reads are
       // consumed by the closure, so only writing operations branch.
-      std::uint32_t p = frame_next_choice_[top];
+      const std::uint32_t value = packed_.value(key_);
+      std::uint32_t p = next_choice_[top];
+      std::uint32_t pos = 0;
       for (; p < k_; ++p) {
-        const auto& history = instance_.execution.history(p);
-        if (positions_[p] >= history.size()) continue;
-        const Operation& op = history[positions_[p]];
-        if (options_.eager_reads && !op.writes_memory()) continue;
-        if (op.reads_memory() && op.value_read != value_) continue;
-        if (options_.pruner && op.writes_memory() &&
-            !options_.pruner->satisfied(positions_, p, positions_[p])) {
+        const History& h = packed_.history(p);
+        pos = PackedInstance::position(key_, h);
+        const Op op = h.ops[pos];  // the sentinel once h is done
+        if (options_.eager_reads && op.write == PackedInstance::kNone)
+          continue;
+        if (op.read != PackedInstance::kNone && op.read != value) continue;
+        if (options_.pruner && op.write != PackedInstance::kNone &&
+            !options_.pruner->satisfied(
+                [&](std::uint32_t q) {
+                  return PackedInstance::position(key_, packed_.history(q));
+                },
+                p, pos)) {
           // A must-precede predecessor is still unscheduled: this branch
           // violates a necessary ordering and cannot contain a witness.
           ++stats_.oracle_prunes;
@@ -101,20 +102,21 @@ class ExactSearch {
         pop_frame();
         continue;
       }
-      frame_next_choice_[top] = p + 1;
+      next_choice_[top] = p + 1;
       ++stats_.transitions;
 
-      apply(p);
-      if (options_.eager_reads) close_reads();
+      const History& h = packed_.history(p);
+      packed_.apply(key_, h, h.ops[pos]);
+      if (options_.eager_reads) close_reads(key_, nullptr);
 
-      if (complete()) {
-        if (final_ok()) return CheckResult::yes(schedule_, stats_);
+      if (packed_.complete(key_)) {
+        if (packed_.final_ok(key_)) return CheckResult::yes(witness(), stats_);
         continue;  // frame state restored at loop head
       }
       if (!remember_current()) continue;  // state already explored
       push_frame();
       stats_.max_frontier =
-          std::max<std::uint64_t>(stats_.max_frontier, frame_value_.size());
+          std::max<std::uint64_t>(stats_.max_frontier, next_choice_.size());
     }
     return CheckResult::no(
         certify::search_exhaustion(instance_.addr, stats_.states_visited,
@@ -122,30 +124,34 @@ class ExactSearch {
         stats_);
   }
 
+ private:
   void push_frame() {
-    frame_positions_.insert(frame_positions_.end(), positions_.begin(),
-                            positions_.end());
-    frame_value_.push_back(value_);
-    frame_base_len_.push_back(schedule_.size());
-    frame_next_choice_.push_back(0);
+    for (std::size_t w = 0; w < words_; ++w) frame_keys_.push_back(key_[w]);
+    next_choice_.push_back(0);
   }
 
   void pop_frame() {
-    frame_positions_.resize(frame_positions_.size() - k_);
-    frame_value_.pop_back();
-    frame_base_len_.pop_back();
-    frame_next_choice_.pop_back();
+    frame_keys_.resize(frame_keys_.size() - words_);
+    next_choice_.pop_back();
   }
 
-  [[nodiscard]] bool complete() const {
-    for (std::size_t p = 0; p < k_; ++p)
-      if (positions_[p] < instance_.execution.history(p).size()) return false;
-    return true;
-  }
-
-  [[nodiscard]] bool final_ok() const {
-    const auto fin = instance_.final_value();
-    return !fin || value_ == *fin;
+  /// The schedule that reached the current state, rebuilt once on
+  /// success: frame i branched on history next_choice_[i] - 1, and
+  /// every branch is followed by its (deterministic) read closure.
+  [[nodiscard]] Schedule witness() const {
+    Schedule schedule;
+    std::uint64_t* key = key_ + words_;  // second scratch row
+    std::copy_n(packed_.initial_key(), words_, key);
+    if (options_.eager_reads) close_reads(key, &schedule);
+    for (const std::uint32_t choice : next_choice_) {
+      const std::uint32_t p = choice - 1;
+      const History& h = packed_.history(p);
+      const std::uint32_t pos = PackedInstance::position(key, h);
+      schedule.push_back(OpRef{p, pos});
+      packed_.apply(key, h, h.ops[pos]);
+      if (options_.eager_reads) close_reads(key, &schedule);
+    }
+    return schedule;
   }
 
   [[nodiscard]] bool budget_exhausted() const {
@@ -159,30 +165,24 @@ class ExactSearch {
            (options_.cancel && options_.cancel->cancelled());
   }
 
-  /// Schedules the next op of history p (must be enabled).
-  void apply(std::uint32_t p) {
-    const Operation& op = instance_.execution.history(p)[positions_[p]];
-    schedule_.push_back(OpRef{p, positions_[p]});
-    ++positions_[p];
-    if (op.writes_memory()) value_ = op.value_written;
-  }
-
   /// Eagerly schedules every enabled pure read. Sound and complete: a
   /// read does not change the location's value, so any coherent
-  /// continuation can be reordered to execute enabled reads first.
-  void close_reads() {
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (std::uint32_t p = 0; p < k_; ++p) {
-        const auto& history = instance_.execution.history(p);
-        while (positions_[p] < history.size()) {
-          const Operation& op = history[positions_[p]];
-          if (op.kind != OpKind::kRead || op.value_read != value_) break;
-          apply(p);
-          progressed = true;
-        }
-      }
+  /// continuation can be reordered to execute enabled reads first. One
+  /// pass suffices: the value is fixed throughout, so once a history's
+  /// run of enabled reads is consumed its next op is not an enabled read.
+  /// Appends the consumed reads to `schedule` unless it is null (the
+  /// search itself keeps no schedule; see witness()).
+  void close_reads(std::uint64_t* key, Schedule* schedule) const {
+    const std::uint32_t value = packed_.value(key);
+    for (std::uint32_t p = 0; p < k_; ++p) {
+      const History& h = packed_.history(p);
+      const std::uint32_t pos = PackedInstance::position(key, h);
+      const Op op = h.ops[pos];
+      if (op.run == 0 || op.read != value) continue;
+      if (schedule != nullptr)
+        for (std::uint32_t i = pos; i != pos + op.run; ++i)
+          schedule->push_back(OpRef{p, i});
+      key[h.position.word] += std::uint64_t{op.run} << h.position.shift;
     }
   }
 
@@ -191,12 +191,7 @@ class ExactSearch {
   bool remember_current() {
     ++stats_.states_visited;
     if (!options_.memoize) return true;
-    std::copy(positions_.begin(), positions_.end(), key_buf_.begin());
-    key_buf_[k_] =
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(value_));
-    key_buf_[k_ + 1] =
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(value_) >> 32);
-    if (!visited_.insert(key_buf_.data()).fresh) {
+    if (!visited_.insert(key_).fresh) {
       --stats_.states_visited;
       ++stats_.prunes;
       return false;
@@ -206,21 +201,18 @@ class ExactSearch {
 
   const VmcInstance& instance_;
   const ExactOptions& options_;
-  std::size_t k_;
+  const PackedInstance packed_;
+  std::uint32_t k_;
+  std::size_t words_;
 
-  std::vector<std::uint32_t> positions_;
-  Value value_ = 0;
-  Schedule schedule_;
+  std::uint64_t* key_;  ///< the current state; a second row for witness()
 
-  // SoA frame stack: row i of frame_positions_ belongs to frame i.
-  std::vector<std::uint32_t> frame_positions_;
-  std::vector<Value> frame_value_;
-  std::vector<std::size_t> frame_base_len_;
-  std::vector<std::uint32_t> frame_next_choice_;
+  // SoA frame stack: key row i of frame_keys_ belongs to frame i, whose
+  // next branching choice is next_choice_[i].
+  std::vector<std::uint64_t> frame_keys_;
+  std::vector<std::uint32_t> next_choice_;
 
-  Arena arena_;  ///< owns all visited-key storage for this call
   FlatKeySet visited_;
-  std::vector<std::uint32_t> key_buf_;  ///< reused packing scratch
   SearchStats stats_;
 };
 
@@ -228,15 +220,29 @@ class ExactSearch {
 
 CheckResult check_exact(const VmcInstance& instance, const ExactOptions& options) {
   obs::Span span("vmc.exact");
-  CheckResult result = ExactSearch(instance, options).run();
+  CheckResult result;
+  std::size_t key_words = 0;
+  if (const auto why = instance.malformed()) {
+    result = CheckResult::unknown(certify::UnknownReason::kMalformed, *why);
+  } else {
+    // The arena owns the compiled instance, the key scratch and every
+    // visited key of this call.
+    Arena arena;
+    ExactSearch search(instance, options, arena);
+    key_words = search.key_words();
+    result = search.run();
+    const ArenaStats& stats = arena.stats();
+    result.stats.arena_reserved = stats.reserved;
+    result.stats.arena_high_water = stats.high_water;
+    result.stats.arena_allocations = stats.allocations;
+  }
   if (span.active()) {
+    // A span holds four numeric attributes (obs/span.hpp); the other
+    // counters reach the registry below and the response's effort.
     span.attr("states", result.stats.states_visited);
     span.attr("transitions", result.stats.transitions);
     span.attr("max_frontier", result.stats.max_frontier);
-    span.attr("prunes", result.stats.prunes);
-    span.attr("oracle_prunes", result.stats.oracle_prunes);
-    span.attr("arena_reserved", result.stats.arena_reserved);
-    span.attr("arena_high_water", result.stats.arena_high_water);
+    span.attr("key_words", key_words);
     span.attr("verdict", to_string(result.verdict));
   }
   if (obs::enabled()) {

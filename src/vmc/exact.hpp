@@ -42,14 +42,16 @@ struct MustPrecede {
   [[nodiscard]] bool empty() const noexcept { return preds.empty(); }
 
   /// True iff every predecessor of (p, i) is already scheduled (its
-  /// history position is past the predecessor's index).
-  [[nodiscard]] bool satisfied(const std::vector<std::uint32_t>& positions,
-                               std::uint32_t p, std::uint32_t i) const noexcept {
+  /// history position is past the predecessor's index);
+  /// `position_of(q)` returns history q's current position.
+  template <typename PositionOf>
+  [[nodiscard]] bool satisfied(PositionOf&& position_of, std::uint32_t p,
+                               std::uint32_t i) const {
     if (p >= spans.size() || i >= spans[p].size()) return true;
     const Span s = spans[p][i];
     for (std::uint32_t e = s.offset; e != s.offset + s.count; ++e) {
       const OpRef pred = preds[e];
-      if (positions[pred.process] <= pred.index) return false;
+      if (position_of(pred.process) <= pred.index) return false;
     }
     return true;
   }

@@ -11,12 +11,12 @@ namespace vermem::vsc {
 
 namespace {
 
-// Same arena/packed-key/SoA layout as the VMC search (vmc/exact.cpp),
+// Same arena/FlatKeySet/SoA layout as the VMC search (vmc/exact.cpp),
 // with the state widened to one current value per address: the key is
-// k position words followed by two words per address value, the frame
-// stack keeps one contiguous positions row and one contiguous values row
-// per frame. exact_legacy.cpp preserves the pre-rework shape as the
-// differential oracle.
+// the k 32-bit positions, two per 64-bit word, followed by one word per
+// address value; the frame stack keeps one contiguous positions row and
+// one contiguous values row per frame. exact_legacy.cpp preserves the
+// pre-rework shape as the differential oracle.
 class ScSearch {
  public:
   ScSearch(const AddressIndex& index, const ScOptions& options)
@@ -29,8 +29,8 @@ class ScSearch {
     }
     positions_.assign(k_, 0);
     a_ = values_.size();
-    key_buf_.assign(k_ + 2 * a_, 0);
-    visited_.emplace(arena_, k_ + 2 * a_);
+    key_buf_.assign((k_ + 1) / 2 + a_, 0);
+    visited_.emplace(arena_, key_buf_.size());
   }
 
   CheckResult run() {
@@ -190,12 +190,11 @@ class ScSearch {
   bool remember_current() {
     ++stats_.states_visited;
     if (!options_.memoize) return true;
-    std::copy(positions_.begin(), positions_.end(), key_buf_.begin());
-    std::uint32_t* out = key_buf_.data() + k_;
-    for (const Value v : values_) {
-      *out++ = static_cast<std::uint32_t>(static_cast<std::uint64_t>(v));
-      *out++ = static_cast<std::uint32_t>(static_cast<std::uint64_t>(v) >> 32);
-    }
+    std::fill(key_buf_.begin(), key_buf_.end(), 0);
+    for (std::size_t p = 0; p < k_; ++p)
+      key_buf_[p / 2] |= std::uint64_t{positions_[p]} << (32 * (p % 2));
+    std::uint64_t* out = key_buf_.data() + (k_ + 1) / 2;
+    for (const Value v : values_) *out++ = static_cast<std::uint64_t>(v);
     if (!visited_->insert(key_buf_.data()).fresh) {
       --stats_.states_visited;
       return false;
@@ -221,7 +220,7 @@ class ScSearch {
 
   Arena arena_;  ///< owns all visited-key storage for this call
   std::optional<FlatKeySet> visited_;  ///< set once a_ is known
-  std::vector<std::uint32_t> key_buf_;
+  std::vector<std::uint64_t> key_buf_;
   SearchStats stats_;
 };
 

@@ -1,10 +1,12 @@
 // Tests for the search-allocation layer: the bump/extent Arena (and its
-// ArenaVec) plus the open-addressing FlatKeySet, including a randomized
-// differential against std::unordered_set on the exact key distribution
-// the frontier searches produce.
+// ArenaVec), the bit-packing StateCodec, and the open-addressing
+// FlatKeySet, including a randomized differential against
+// std::unordered_set on the exact key distribution the frontier
+// searches produce.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "support/flat_set.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
+#include "support/state_codec.hpp"
 
 namespace vermem {
 namespace {
@@ -113,21 +116,88 @@ TEST(ArenaVec, PushGrowAndIndex) {
   EXPECT_EQ(vec[0], 7u);
 }
 
+// ---- StateCodec ----------------------------------------------------------
+
+TEST(StateCodec, WordCountsForSearchShapes) {
+  Arena arena;
+  // perfbench `hard`: 6 histories of <= 24 ops (5 bits each), 2 values.
+  const std::vector<std::uint64_t> hard = {24, 24, 24, 24, 24, 24, 1};
+  EXPECT_EQ(StateCodec(arena, hard).words(), 1u);
+  // 12 histories of 100 ops: 84 position bits.
+  std::vector<std::uint64_t> wide(12, 100);
+  wide.push_back(2);
+  EXPECT_EQ(StateCodec(arena, wide).words(), 2u);
+  // Only zero-width fields: still one (all-zero) word.
+  const std::vector<std::uint64_t> empty = {0, 0, 0};
+  const StateCodec none(arena, empty);
+  EXPECT_EQ(none.words(), 1u);
+  for (std::size_t i = 0; i < empty.size(); ++i)
+    EXPECT_EQ(none.field(i).mask, 0u);
+}
+
+TEST(StateCodec, RandomFieldsRoundTripAndNeverStraddle) {
+  Xoshiro256ss rng(2003);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t count = 1 + static_cast<std::size_t>(rng() % 20);
+    std::vector<std::uint64_t> maxima(count);
+    for (auto& max : maxima) {
+      const unsigned width = static_cast<unsigned>(rng() % 65);  // 0..64
+      max = width == 0    ? 0
+            : width == 64 ? ~std::uint64_t{0} >> (rng() % 2)
+                          : (std::uint64_t{1} << (width - 1)) +
+                                rng() % (std::uint64_t{1} << (width - 1));
+    }
+    Arena arena;
+    const StateCodec codec(arena, maxima);
+    std::vector<std::uint64_t> used(codec.words(), 0);
+    for (std::size_t i = 0; i < count; ++i) {
+      const StateCodec::Field& f = codec.field(i);
+      const auto width = static_cast<unsigned>(std::bit_width(f.mask));
+      ASSERT_EQ(width, static_cast<unsigned>(std::bit_width(maxima[i])));
+      if (width == 0) continue;
+      ASSERT_LT(f.word, codec.words());
+      ASSERT_LE(f.shift + width, 64u) << "field " << i << " straddles";
+      ASSERT_EQ(used[f.word] & (f.mask << f.shift), 0u) << "overlap";
+      used[f.word] |= f.mask << f.shift;
+    }
+
+    std::vector<std::uint64_t> values(count);
+    for (std::size_t i = 0; i < count; ++i)
+      values[i] = maxima[i] == 0 ? 0 : rng() % maxima[i];  // < max
+    std::vector<std::uint64_t> key(codec.words(), 0);
+    for (std::size_t i = 0; i < count; ++i)
+      StateCodec::set(key.data(), codec.field(i), values[i]);
+    for (std::size_t i = 0; i < count; ++i)
+      ASSERT_EQ(StateCodec::get(key.data(), codec.field(i)), values[i]);
+    // Incrementing a field below its maximum leaves its neighbours alone.
+    const std::size_t bump = static_cast<std::size_t>(rng() % count);
+    if (maxima[bump] != 0) {
+      StateCodec::increment(key.data(), codec.field(bump));
+      ++values[bump];
+    }
+    const std::size_t reset = static_cast<std::size_t>(rng() % count);
+    StateCodec::set(key.data(), codec.field(reset), maxima[reset]);
+    values[reset] = maxima[reset];
+    for (std::size_t i = 0; i < count; ++i)
+      ASSERT_EQ(StateCodec::get(key.data(), codec.field(i)), values[i]);
+  }
+}
+
 // ---- FlatKeySet ---------------------------------------------------------
 
-using Key = std::vector<std::uint32_t>;
+using Key = std::vector<std::uint64_t>;
 
 struct KeyHash {
   std::size_t operator()(const Key& key) const noexcept {
-    return static_cast<std::size_t>(hash_span<std::uint32_t>(key));
+    return static_cast<std::size_t>(hash_span<std::uint64_t>(key));
   }
 };
 
 TEST(FlatKeySet, FreshThenDuplicate) {
   Arena arena;
   FlatKeySet set(arena, 3);
-  const std::uint32_t a[3] = {1, 2, 3};
-  const std::uint32_t b[3] = {1, 2, 4};
+  const std::uint64_t a[3] = {1, 2, 3};
+  const std::uint64_t b[3] = {1, 2, 4};
   const auto first = set.insert(a);
   EXPECT_TRUE(first.fresh);
   EXPECT_EQ(first.id, 0u);
@@ -141,21 +211,25 @@ TEST(FlatKeySet, FreshThenDuplicate) {
 }
 
 TEST(FlatKeySet, KeysAreStableAcrossGrowth) {
+  // Keys live inline in the slots and move on growth; what stays stable
+  // is the id contract: ids are dense insertion indices, a key keeps its
+  // id across every growth, and re-inserting it is a duplicate.
   Arena arena;
   FlatKeySet set(arena, 2, 16);
-  std::vector<const std::uint32_t*> stored;
-  for (std::uint32_t i = 0; i < 500; ++i) {
-    const std::uint32_t words[2] = {i, i ^ 0xdeadbeefu};
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    const std::uint64_t words[2] = {i, i ^ 0xdeadbeefcafef00dULL};
     const auto r = set.insert(words);
     ASSERT_TRUE(r.fresh);
-    stored.push_back(set.key(r.id));
+    ASSERT_EQ(r.id, i);  // dense: the i-th fresh key gets id i
   }
   ASSERT_GT(set.capacity(), 500u);  // grew several times
-  for (std::uint32_t i = 0; i < 500; ++i) {
-    EXPECT_EQ(set.key(i), stored[i]);  // ids stay valid, keys never move
-    EXPECT_EQ(set.key(i)[0], i);
-    EXPECT_EQ(set.key(i)[1], i ^ 0xdeadbeefu);
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    const std::uint64_t words[2] = {i, i ^ 0xdeadbeefcafef00dULL};
+    const auto r = set.insert(words);
+    EXPECT_FALSE(r.fresh);
+    EXPECT_EQ(r.id, i);
   }
+  EXPECT_EQ(set.size(), 500u);
 }
 
 TEST(FlatKeySet, CollidingKeysStayDistinct) {
@@ -163,12 +237,12 @@ TEST(FlatKeySet, CollidingKeysStayDistinct) {
   // reasonable hash; all must survive growth without tombstone artifacts.
   Arena arena;
   FlatKeySet set(arena, 4, 16);
-  for (std::uint32_t i = 0; i < 2000; ++i) {
-    const std::uint32_t words[4] = {7, 7, 7, i};
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    const std::uint64_t words[4] = {7, 7, 7, i};
     ASSERT_TRUE(set.insert(words).fresh) << i;
   }
-  for (std::uint32_t i = 0; i < 2000; ++i) {
-    const std::uint32_t words[4] = {7, 7, 7, i};
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    const std::uint64_t words[4] = {7, 7, 7, i};
     const auto r = set.insert(words);
     ASSERT_FALSE(r.fresh);
     ASSERT_EQ(r.id, i);
@@ -188,7 +262,7 @@ TEST(FlatKeySet, RandomizedDifferentialAgainstUnorderedSet) {
     Key key(stride);
     for (std::size_t step = 0; step < 20'000; ++step) {
       for (auto& word : key)
-        word = static_cast<std::uint32_t>(rng() % 8);  // dense duplicates
+        word = static_cast<std::uint64_t>(rng() % 8);  // dense duplicates
       const bool fresh_ref = reference.insert(key).second;
       const auto r = set.insert(key.data());
       ASSERT_EQ(r.fresh, fresh_ref) << "seed " << seed << " step " << step;

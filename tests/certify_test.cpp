@@ -241,6 +241,24 @@ TEST(BoundedK, StateBudgetYieldsUnknown) {
             vmc::Verdict::kUnknown);
 }
 
+TEST(BoundedK, PreCancelledTokenYieldsCancelled) {
+  // Cancellation is reported as such, the same reason the DFS searches
+  // give (not as a skipped address).
+  Xoshiro256ss rng(17);
+  workload::SingleAddressParams params;
+  params.num_histories = 4;
+  params.ops_per_history = 6;
+  const auto trace = workload::generate_coherent(params, rng);
+  CancellationToken cancel;
+  cancel.cancel();
+  vmc::BoundedKOptions options;
+  options.cancel = &cancel;
+  const auto result = vmc::check_bounded_k({trace.execution, 0}, options);
+  ASSERT_EQ(result.verdict, vmc::Verdict::kUnknown);
+  ASSERT_NE(result.unknown_reason(), nullptr);
+  EXPECT_EQ(result.unknown_reason()->reason, certify::UnknownReason::kCancelled);
+}
+
 // ---- SC via SAT -----------------------------------------------------------
 
 TEST(ScViaSat, AgreesWithExactScOnGeneratedTraces) {

@@ -175,6 +175,12 @@ struct DirFaultCase {
   FaultPlan plan;
 };
 
+// Print the case by name: the default byte dump includes the name
+// pointer, so the listed test name would change with ASLR on every run.
+void PrintTo(const DirFaultCase& fault_case, std::ostream* os) {
+  *os << fault_case.name;
+}
+
 class DirectoryFaults : public ::testing::TestWithParam<DirFaultCase> {};
 
 TEST_P(DirectoryFaults, InjectedFaultsAreCaught) {

@@ -123,6 +123,12 @@ struct FaultCase {
   FaultPlan plan;
 };
 
+// Without this, gtest prints the case as raw bytes, which include the
+// name pointer; ASLR then gives the listed test a new name on every run.
+void PrintTo(const FaultCase& fault_case, std::ostream* os) {
+  *os << fault_case.name;
+}
+
 class FaultDetection : public ::testing::TestWithParam<FaultCase> {};
 
 TEST_P(FaultDetection, InjectedFaultsAreCaught) {

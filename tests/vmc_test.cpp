@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "trace/schedule.hpp"
+#include "vmc/bounded.hpp"
 #include "vmc/checker.hpp"
 #include "support/parallel.hpp"
 #include "vmc/exact.hpp"
 #include "vmc/exact_legacy.hpp"
+#include "vmc/packed_instance.hpp"
 #include "vmc/special.hpp"
 #include "vmc/write_order.hpp"
 #include "workload/random.hpp"
@@ -871,6 +873,266 @@ TEST(ExactDifferential, ArenaStatsArePopulated) {
   EXPECT_LE(now.stats.arena_high_water, now.stats.arena_reserved);
   const auto legacy = check_exact_legacy(instance);
   EXPECT_EQ(legacy.stats.arena_reserved, 0u);
+}
+
+// ---- Differential: packed-state kernel edge cases --------------------
+
+// The kernel packs a state into W 64-bit words (support/state_codec.hpp,
+// vmc/packed_instance.hpp). These cases aim at the packing itself: field
+// widths at bit-width boundaries, a zero-width value field, unheld read
+// values, empty histories and multi-word keys. Each must match the
+// frozen legacy search on verdict, witness and every search counter,
+// and the bounded-k BFS (same compiled instance, independent search) on
+// the verdict.
+void expect_kernel_matches_legacy(const Execution& exec,
+                                  ExactOptions options = {}) {
+  const auto instance = make(exec);
+  const auto now = check_exact(instance, options);
+  const auto legacy = check_exact_legacy(instance, options);
+  ASSERT_EQ(now.verdict, legacy.verdict) << legacy.reason();
+  EXPECT_EQ(now.witness, legacy.witness);
+  expect_stats_match_legacy(now.stats, legacy.stats);
+  if (now.verdict == Verdict::kCoherent) expect_valid_witness(instance, now);
+  if (now.verdict == Verdict::kUnknown) {
+    ASSERT_NE(now.unknown_reason(), nullptr);
+    ASSERT_NE(legacy.unknown_reason(), nullptr);
+    EXPECT_EQ(now.unknown_reason()->reason, legacy.unknown_reason()->reason);
+  }
+}
+
+void expect_bounded_agrees(const Execution& exec, const CheckResult& exact) {
+  const auto bfs = check_bounded_k(make(exec));
+  EXPECT_EQ(bfs.verdict, exact.verdict);
+  if (bfs.verdict == Verdict::kCoherent) expect_valid_witness(make(exec), bfs);
+}
+
+/// `base`'s histories truncated to the given lengths (a coherent trace
+/// truncated may well be incoherent; both outcomes are worth comparing).
+Execution with_lengths(const Execution& base,
+                       const std::vector<std::size_t>& lengths) {
+  ExecutionBuilder builder;
+  for (std::size_t p = 0; p < lengths.size(); ++p) {
+    const auto& history = base.history(p % base.num_processes());
+    std::vector<Operation> ops(history.begin(),
+                               history.begin() + static_cast<std::ptrdiff_t>(
+                                   std::min(lengths[p], history.size())));
+    builder.process_ops(std::move(ops));
+  }
+  Execution exec = builder.build();
+  exec.set_initial_value(0, base.initial_value(0));
+  return exec;
+}
+
+TEST(PackedKernel, HistoryLengthsAtBitWidthBoundaries) {
+  // A position field holds 0..len, so len = 2^j - 1 fits j bits and
+  // len = 2^j needs j + 1: both sides of every boundary up to 32.
+  Xoshiro256ss rng(2003);
+  SingleAddressParams params;
+  params.num_histories = 3;
+  params.ops_per_history = 32;
+  params.num_values = 2;
+  params.record_final_value = false;
+  for (std::size_t j = 1; j <= 5; ++j) {
+    const std::size_t below = (std::size_t{1} << j) - 1;
+    const std::size_t at = std::size_t{1} << j;
+    for (int trial = 0; trial < 3; ++trial) {
+      const auto trace = workload::generate_coherent(params, rng);
+      for (const auto& lengths : std::vector<std::vector<std::size_t>>{
+               {below, below, below}, {at, at, at}, {below, at, 1}}) {
+        const Execution exec = with_lengths(trace.execution, lengths);
+        SCOPED_TRACE("j=" + std::to_string(j));
+        expect_kernel_matches_legacy(exec);
+        expect_bounded_agrees(exec, check_exact(make(exec)));
+      }
+    }
+  }
+}
+
+TEST(PackedKernel, SingleValueInstanceHasZeroWidthValueField) {
+  // Every write stores the initial value: one value id, a 0-bit field.
+  const auto coherent = ExecutionBuilder()
+                            .process(W(0, 0), R(0, 0), W(0, 0))
+                            .process(R(0, 0), RW(0, 0, 0))
+                            .process(R(0, 0))
+                            .final_value(0, 0)
+                            .build();
+  expect_kernel_matches_legacy(coherent);
+  EXPECT_EQ(check_exact(make(coherent)).verdict, Verdict::kCoherent);
+  expect_bounded_agrees(coherent, check_exact(make(coherent)));
+  // Same, but one read wants a value nobody holds.
+  const auto incoherent = ExecutionBuilder()
+                              .process(W(0, 0), R(0, 0))
+                              .process(R(0, 0), R(0, 5))
+                              .build();
+  expect_kernel_matches_legacy(incoherent);
+  EXPECT_EQ(check_exact(make(incoherent)).verdict, Verdict::kIncoherent);
+  expect_bounded_agrees(incoherent, check_exact(make(incoherent)));
+}
+
+TEST(PackedKernel, ReadsOfNeverWrittenValues) {
+  // Unheld read values (and an unheld final value) compile to an id no
+  // state holds; they must block exactly where the legacy search blocks.
+  const std::vector<Execution> cases = {
+      ExecutionBuilder().process(W(0, 1), R(0, 9)).process(R(0, 1)).build(),
+      ExecutionBuilder().process(R(0, 9)).process(W(0, 1)).build(),
+      ExecutionBuilder()
+          .process(W(0, 1), W(0, 2))
+          .process(R(0, 2), R(0, 7), R(0, 1))
+          .build(),
+      ExecutionBuilder().process(W(0, 1)).process(RW(0, 3, 4)).build(),
+      ExecutionBuilder().process(W(0, 1), R(0, 1)).final_value(0, 8).build(),
+      ExecutionBuilder().process(R(0, 0), R(0, 0)).final_value(0, 8).build(),
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    expect_kernel_matches_legacy(cases[i]);
+    const auto exact = check_exact(make(cases[i]));
+    EXPECT_EQ(exact.verdict, Verdict::kIncoherent);
+    expect_bounded_agrees(cases[i], exact);
+  }
+  // Faulted traces plant unheld reads in otherwise coherent searches.
+  Xoshiro256ss rng(404);
+  SingleAddressParams params;
+  params.num_histories = 4;
+  params.ops_per_history = 6;
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto trace = workload::generate_coherent(params, rng);
+    if (auto faulted =
+            workload::inject_fault(trace, Fault::kFabricatedRead, rng)) {
+      expect_kernel_matches_legacy(*faulted);
+      expect_bounded_agrees(*faulted, check_exact(make(*faulted)));
+    }
+  }
+}
+
+TEST(PackedKernel, EmptyHistories) {
+  // Zero-length histories take a zero-width position field.
+  const std::vector<Execution> cases = {
+      ExecutionBuilder().process().process(W(0, 1), R(0, 1)).process().build(),
+      ExecutionBuilder().process().process().build(),
+      ExecutionBuilder().process().final_value(0, 3).build(),
+      ExecutionBuilder()
+          .process(W(0, 1))
+          .process()
+          .process(R(0, 2), R(0, 1))
+          .process(W(0, 2))
+          .build(),
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    expect_kernel_matches_legacy(cases[i]);
+    expect_bounded_agrees(cases[i], check_exact(make(cases[i])));
+  }
+  Xoshiro256ss rng(77);
+  SingleAddressParams params;
+  params.num_histories = 4;
+  params.ops_per_history = 7;
+  for (int trial = 0; trial < 10; ++trial) {
+    const auto trace = workload::generate_coherent(params, rng);
+    const Execution exec = with_lengths(trace.execution, {0, 7, 0, 5, 0});
+    expect_kernel_matches_legacy(exec);
+    expect_bounded_agrees(exec, check_exact(make(exec)));
+  }
+}
+
+TEST(PackedKernel, MultiWordKeys) {
+  // 12 histories of 100 ops: 12 x 7 position bits plus the value field
+  // need two key words.
+  std::vector<std::vector<Operation>> easy(12);
+  for (std::size_t p = 0; p < 12; ++p)
+    for (std::size_t i = 0; i < 50; ++i) {
+      const auto v = static_cast<Value>(1000 * (p + 1) + i);
+      easy[p].push_back(W(0, v));
+      easy[p].push_back(R(0, v));
+    }
+  ExecutionBuilder builder;
+  for (auto& ops : easy) builder.process_ops(ops);
+  const Execution coherent = builder.build();
+  Arena arena;
+  ASSERT_EQ(PackedInstance(make(coherent), arena).words(), 2u);
+  expect_kernel_matches_legacy(coherent);
+  EXPECT_EQ(check_exact(make(coherent)).verdict, Verdict::kCoherent);
+
+  // Random 12 x 100 traces, cut off by a transition budget: both
+  // searches must stop at the same point with the same counters.
+  Xoshiro256ss rng(1212);
+  SingleAddressParams params;
+  params.num_histories = 12;
+  params.ops_per_history = 100;
+  params.num_values = 3;
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto trace = workload::generate_coherent(params, rng);
+    ExactOptions options;
+    options.max_transitions = 20'000;
+    expect_kernel_matches_legacy(trace.execution, options);
+    if (auto faulted = workload::inject_fault(trace, Fault::kStaleRead, rng))
+      expect_kernel_matches_legacy(*faulted, options);
+  }
+}
+
+/// The perfbench `hard` shape: 6 histories of `ops` operations on one
+/// address, 2 values, 20% RMW, drawn as an SC trace (so coherent), plus
+/// its stale-read variant when the trace has a site for one.
+std::vector<Execution> hard_shaped(std::uint64_t seed, std::size_t ops) {
+  workload::MultiAddressParams params;
+  params.num_processes = 6;
+  params.ops_per_process = ops;
+  params.num_addresses = 1;
+  params.num_values = 2;
+  params.rmw_fraction = 0.2;
+  Xoshiro256ss rng(seed);
+  auto sc = workload::generate_sc(params, rng);
+  std::vector<Execution> cases{sc.execution};
+  // One address: the SC interleaving is a coherent schedule for it.
+  const workload::GeneratedTrace wrapped{std::move(sc.execution),
+                                         std::move(sc.witness), {}};
+  if (auto faulted = workload::inject_fault(wrapped, Fault::kStaleRead, rng))
+    cases.push_back(std::move(*faulted));
+  return cases;
+}
+
+TEST(PackedKernel, HardShapedSweep) {
+  // 50 seeds at the real size (16-24 ops per history). A stale-read
+  // variant must exhaust up to ~9M states and a few coherent draws need
+  // over 1M transitions, so both sides run under the same transition
+  // budget: a search that hits it must stop at the same point with the
+  // same counters, one that finishes must match in full.
+  Xoshiro256ss rng(6);
+  std::size_t definite = 0;
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    const std::size_t ops = 16 + rng.below(9);
+    for (const Execution& exec : hard_shaped(seed, ops)) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      ExactOptions options;
+      options.max_transitions = 60'000;
+      expect_kernel_matches_legacy(exec, options);
+      if (check_exact(make(exec), options).verdict != Verdict::kUnknown)
+        ++definite;
+    }
+  }
+  EXPECT_GE(definite, 40u);  // most undisturbed draws finish in budget
+}
+
+TEST(PackedKernel, HardShapedSweepAgreesWithBoundedK) {
+  // The bounded-k BFS has no read closure and walks every reachable
+  // state, which is out of reach at 16-24 ops per history; the same
+  // shape at 3-6 ops keeps every run definite for all three searches.
+  Xoshiro256ss rng(66);
+  std::size_t coherent = 0;
+  std::size_t incoherent = 0;
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    const std::size_t ops = 3 + rng.below(4);
+    for (const Execution& exec : hard_shaped(seed, ops)) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      expect_kernel_matches_legacy(exec);
+      const auto exact = check_exact(make(exec));
+      ASSERT_NE(exact.verdict, Verdict::kUnknown);
+      (exact.verdict == Verdict::kCoherent ? coherent : incoherent) += 1;
+      expect_bounded_agrees(exec, exact);
+    }
+  }
+  EXPECT_GE(coherent, 50u);  // every undisturbed draw is coherent
+  EXPECT_GT(incoherent, 10u);
 }
 
 TEST(Aggregation, PeakProvenanceTracksOwningAddress) {
