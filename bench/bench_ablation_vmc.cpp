@@ -23,11 +23,11 @@
 #include <string>
 #include <vector>
 
+#include "oracles/vmc/exact_legacy.hpp"
 #include "support/format.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
 #include "vmc/exact.hpp"
-#include "vmc/exact_legacy.hpp"
 #include "workload/random.hpp"
 
 // Global-new instrumentation for --alloc-profile: every heap allocation

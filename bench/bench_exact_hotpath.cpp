@@ -24,13 +24,13 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "oracles/vmc/exact_legacy.hpp"
+#include "oracles/vsc/exact_legacy.hpp"
 #include "support/format.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
 #include "vmc/exact.hpp"
-#include "vmc/exact_legacy.hpp"
 #include "vsc/exact.hpp"
-#include "vsc/exact_legacy.hpp"
 #include "workload/random.hpp"
 
 namespace {

@@ -26,7 +26,9 @@
 #include "sat/gen.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
-#include "vmc/checker.hpp"
+#include "vmc/exact.hpp"
+#include "vmc/special.hpp"
+#include "vmc/write_order.hpp"
 #include "workload/random.hpp"
 
 namespace {

@@ -11,6 +11,7 @@
 #include "sim/directory.hpp"
 #include "sim/machine.hpp"
 #include "support/format.hpp"
+#include "support/stopwatch.hpp"
 #include "support/table.hpp"
 #include "vmc/online.hpp"
 

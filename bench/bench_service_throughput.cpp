@@ -1,13 +1,14 @@
-// Service throughput: the persistent VerificationService vs the one-shot
-// verify_coherence_parallel loop it replaces for traffic-serving users.
+// Service throughput: the persistent VerificationService vs a one-shot
+// loop that calls the same per-trace work directly.
 //
-// The one-shot path pays a thread-fleet spawn/join per call and only
-// parallelizes *within* one trace — useless when each trace is small and
-// the traffic is many traces. The service amortizes its pool across the
-// whole stream, batches requests, and parallelizes *across* traces, so
-// at equal worker count its requests/s should meet or beat the loop. A
-// second round replays the same traces through the warm result cache.
-// Numbers land in BENCH_service.json.
+// The one-shot loop indexes each trace and runs
+// analysis::verify_coherence_routed on it on the calling thread — exactly
+// the decision work one service request does, minus the service. The
+// service amortizes its pool across the whole stream, batches requests,
+// and parallelizes *across* traces, so its speedup over the loop is what
+// the pool, the batching and the queueing buy (or cost) on many small
+// traces. A second round replays the same traces through the warm
+// result cache. Numbers land in BENCH_service.json.
 
 #include <benchmark/benchmark.h>
 
@@ -19,10 +20,12 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/router.hpp"
 #include "bench_util.hpp"
 #include "service/service.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
+#include "trace/address_index.hpp"
 #include "workload/random.hpp"
 
 namespace {
@@ -48,13 +51,14 @@ std::vector<Execution> make_fleet(std::uint64_t seed) {
   return fleet;
 }
 
-/// One-shot baseline: a caller looping over traces, paying fleet
-/// spawn/join inside every verify_coherence_parallel call.
-double one_shot_pass(const std::vector<Execution>& fleet,
-                     std::size_t workers) {
+/// One-shot baseline: a caller looping over traces on one thread, doing
+/// per trace what a service request does (index, then route).
+double one_shot_pass(const std::vector<Execution>& fleet) {
   Stopwatch timer;
-  for (const Execution& exec : fleet)
-    benchmark::DoNotOptimize(vmc::verify_coherence_parallel(exec, workers));
+  for (const Execution& exec : fleet) {
+    const AddressIndex index(exec);
+    benchmark::DoNotOptimize(analysis::verify_coherence_routed(index));
+  }
   return timer.seconds();
 }
 
@@ -83,14 +87,12 @@ double best_of(int reps, const std::function<double()>& run) {
 
 void BM_OneShotLoop(benchmark::State& state) {
   const auto fleet = make_fleet(91);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        one_shot_pass(fleet, static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) benchmark::DoNotOptimize(one_shot_pass(fleet));
   state.counters["req/s"] =
       benchmark::Counter(static_cast<double>(kNumTraces),
                          benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_OneShotLoop)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_OneShotLoop);
 
 void BM_ServiceStream(benchmark::State& state) {
   const auto fleet = make_fleet(91);
@@ -126,9 +128,9 @@ void run_sweep() {
       {"workers", "batch", "one-shot", "service", "one-shot r/s", "service r/s",
        "speedup"});
   char buf[64];
+  const double one_shot_sec =
+      best_of(kReps, [&] { return one_shot_pass(fleet); });
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    const double one_shot_sec =
-        best_of(kReps, [&] { return one_shot_pass(fleet, workers); });
     for (const std::size_t batch : {1u, 8u, 32u}) {
       service::ServiceOptions options;
       options.workers = workers;

@@ -5,15 +5,17 @@
 // hardware or simulator team would actually point at their logs.
 //
 // Usage:
-//   trace_doctor [--model=coherence|sc|tso|pso] [--sat] [--parallel]
+//   trace_doctor [--model=coherence|sc|tso|pso] [--sat]
 //                [--write-order=WOFILE] [FILE]
 //
-// With no FILE, reads stdin. --sat routes single-address coherence
-// through the CNF encoder + CDCL solver instead of the native cascade;
-// --parallel fans the per-address checks out over all cores;
-// --write-order supplies the memory system's recorded per-address write
-// serialization (format: "wo <addr> <proc>:<index> ..."), switching
-// coherence checking to the polynomial Section 5.2 path.
+// With no FILE, reads stdin. Coherence is decided per address by the
+// analysis router (analysis::verify_coherence_routed). --sat routes
+// single-address coherence through the CNF encoder + CDCL solver
+// instead; --write-order supplies the memory system's recorded
+// per-address write serialization (format: "wo <addr> <proc>:<index>
+// ..."), switching coherence checking to the polynomial Section 5.2
+// path. "wo" lines inside the trace itself are honoured the same way,
+// as vermemd does.
 // Exit code: 0 verified, 1 violation found, 2 undecided/usage error.
 //
 // Try:  ./build/examples/trace_doctor --model=sc <<'EOF'
@@ -28,19 +30,33 @@
 #include <sstream>
 #include <string>
 
+#include "analysis/router.hpp"
 #include "encode/vmc_to_cnf.hpp"
 #include "models/checker.hpp"
+#include "tools/trace_stream.hpp"
+#include "trace/address_index.hpp"
 #include "trace/stats.hpp"
 #include "trace/text_io.hpp"
-#include "vmc/checker.hpp"
 
 namespace {
 
 int usage() {
   std::fprintf(stderr,
                "usage: trace_doctor [--model=coherence|sc|tso|pso] [--sat] "
-               "[--parallel] [FILE]\n");
+               "[--write-order=WOFILE] [FILE]\n");
   return 2;
+}
+
+bool read_file(const std::string& path, std::string& text) {
+  std::ifstream file(path);
+  if (!file) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return false;
+  }
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  text = buffer.str();
+  return true;
 }
 
 }  // namespace
@@ -50,7 +66,6 @@ int main(int argc, char** argv) {
 
   std::string model = "coherence";
   bool use_sat = false;
-  bool use_parallel = false;
   std::string path;
   std::string write_order_path;
   for (int i = 1; i < argc; ++i) {
@@ -59,8 +74,6 @@ int main(int argc, char** argv) {
       model = arg.substr(8);
     else if (arg == "--sat")
       use_sat = true;
-    else if (arg == "--parallel")
-      use_parallel = true;
     else if (arg.rfind("--write-order=", 0) == 0)
       write_order_path = arg.substr(14);
     else if (arg.rfind("--", 0) == 0)
@@ -74,18 +87,20 @@ int main(int argc, char** argv) {
     std::ostringstream buffer;
     buffer << std::cin.rdbuf();
     text = buffer.str();
-  } else {
-    std::ifstream file(path);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    text = buffer.str();
+  } else if (!read_file(path, text)) {
+    return 2;
+  }
+  // Inline "wo" lines are the trace's own write-order log; a
+  // --write-order file adds to it.
+  tools::TraceSource source;
+  tools::split_wo_lines(text, source);
+  if (!write_order_path.empty()) {
+    std::string wo_text;
+    if (!read_file(write_order_path, wo_text)) return 2;
+    source.write_order_text += wo_text;
   }
 
-  const ParseResult parsed = parse_execution(text);
+  const ParseResult parsed = parse_execution(source.execution_text);
   if (!parsed.ok()) {
     std::fprintf(stderr, "parse error at line %zu: %s\n", parsed.line,
                  parsed.error.c_str());
@@ -94,29 +109,18 @@ int main(int argc, char** argv) {
   const Execution& exec = parsed.execution;
   std::printf("%s\n", summarize(compute_stats(exec)).c_str());
 
+  const WriteOrderParseResult orders =
+      parse_write_orders(source.write_order_text);
+  if (!orders.ok()) {
+    std::fprintf(stderr, "write-order parse error at line %zu: %s\n",
+                 orders.line, orders.error.c_str());
+    return 2;
+  }
+  const bool has_orders = !source.write_order_text.empty();
+
   vmc::Verdict verdict;
   std::string detail;
-  if (!write_order_path.empty() && model == "coherence") {
-    std::ifstream wofile(write_order_path);
-    if (!wofile) {
-      std::fprintf(stderr, "cannot open %s\n", write_order_path.c_str());
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << wofile.rdbuf();
-    const auto orders = parse_write_orders(buffer.str());
-    if (!orders.ok()) {
-      std::fprintf(stderr, "write-order parse error at line %zu: %s\n",
-                   orders.line, orders.error.c_str());
-      return 2;
-    }
-    const auto report = vmc::verify_coherence_with_write_order(
-        exec, {orders.orders.begin(), orders.orders.end()});
-    verdict = report.verdict;
-    if (const auto* violation = report.first_violation())
-      detail = "address " + std::to_string(violation->addr) + ": " +
-               violation->result.reason();
-  } else if (model == "coherence" && use_sat) {
+  if (model == "coherence" && use_sat && !has_orders) {
     verdict = vmc::Verdict::kCoherent;
     for (const Addr addr : exec.addresses()) {
       const auto result = encode::check_via_sat(
@@ -128,8 +132,13 @@ int main(int argc, char** argv) {
       }
     }
   } else if (model == "coherence") {
-    const auto report = use_parallel ? vmc::verify_coherence_parallel(exec)
-                                     : vmc::verify_coherence(exec);
+    const vmc::WriteOrderMap write_orders(orders.orders.begin(),
+                                          orders.orders.end());
+    const AddressIndex index(exec);
+    const auto report =
+        analysis::verify_coherence_routed(index,
+                                          has_orders ? &write_orders : nullptr)
+            .report;
     verdict = report.verdict;
     if (const auto* violation = report.first_violation())
       detail = "address " + std::to_string(violation->addr) + ": " +

@@ -15,6 +15,7 @@
 
 #include "analysis/fragment.hpp"
 #include "analysis/lint.hpp"
+#include "trace/address_index.hpp"
 #include "vmc/checker.hpp"
 
 namespace vermem::analysis {

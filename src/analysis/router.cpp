@@ -11,15 +11,14 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "analysis/poly/one_op.hpp"
 #include "analysis/poly/rmw_chain.hpp"
-#include "analysis/poly/write_once.hpp"
 #include "analysis/poly/write_order.hpp"
 #include "analysis/saturate/core.hpp"
 #include "encode/naive.hpp"
 #include "encode/vmc_to_cnf.hpp"
 #include "vmc/bounded.hpp"
 #include "vmc/exact.hpp"
+#include "vmc/special.hpp"
 #include "vmc/write_order.hpp"
 
 namespace vermem::analysis {
@@ -230,8 +229,9 @@ CheckResult saturate_then_exact(const ProjectedView& view,
   const saturate::Result sat = [&] {
     obs::Span span("analysis.saturate");
     saturate::Result r = saturate::saturate(view);
+    // Four numeric slots (obs::kMaxNumericAttrs): the address rides on
+    // the enclosing analysis.route span.
     if (span.active()) {
-      span.attr("addr", static_cast<std::uint64_t>(view.addr()));
       span.attr("writes", r.num_writes());
       span.attr("edges", r.edges.size());
       span.attr("rounds", r.rounds);
@@ -372,16 +372,27 @@ RouteOutcome check_routed(const ProjectedView& view,
 
   CheckResult result;
   switch (profile.fragment) {
+    // The classifier has established the Section 5 preconditions, so the
+    // one-op and write-once fragments go straight to their O(n) checkers
+    // (simple vs. Eulerian-trail / forced-chain variant by rmw_only). A
+    // wrong flag yields kUnknown, never a wrong verdict: each checker
+    // re-verifies its precondition.
     case Fragment::kOneOp:
-    case Fragment::kOneOpRmw:
+    case Fragment::kOneOpRmw: {
+      obs::Span poly_span("poly.one_op");
       out.decider = Decider::kOneOp;
-      result = poly::decide_one_op(instance, profile.rmw_only);
+      result = profile.rmw_only ? vmc::check_rmw_one_op_per_process(instance)
+                                : vmc::check_one_op_per_process(instance);
       break;
+    }
     case Fragment::kWriteOnce:
-    case Fragment::kWriteOnceRmw:
+    case Fragment::kWriteOnceRmw: {
+      obs::Span poly_span("poly.write_once");
       out.decider = Decider::kWriteOnce;
-      result = poly::decide_write_once(instance, profile.rmw_only);
+      result = profile.rmw_only ? vmc::check_rmw_read_map(instance)
+                                : vmc::check_read_map(instance);
       break;
+    }
     case Fragment::kWriteOrder:
       out.decider = Decider::kWriteOrder;
       result = poly::decide_with_write_order(instance, view, *write_order,
@@ -496,8 +507,8 @@ RoutedReport verify_coherence_routed(const AddressIndex& index,
     out.deciders.push_back(outcome.decider);
     reports.push_back({addr, std::move(outcome.result)});
   }
-  // Shared with vmc::verify_coherence so the routed path reports the
-  // same effort totals and peak provenance as the plain cascade.
+  // Shared with the streaming verifier and vscc's warm sweep so every
+  // path reports the same effort totals and peak provenance.
   out.report = vmc::aggregate_reports(std::move(reports));
   if (span.active()) {
     span.attr("poly_routed", out.poly_routed);

@@ -2,16 +2,19 @@
 // Shape-directed routing: classify each per-address projection into its
 // Figure 5.3 fragment and dispatch it to the cheapest dedicated decider.
 //
-// This is the analysis subsystem's hot-path scheduler. Where
-// vmc::check_auto probes each special case in turn by rescanning the
-// instance, the router classifies once from the ProjectedView (a single
-// arena scan, reusing AddressIndex stats) and jumps straight to the
-// fragment's polynomial decider; only kBoundedProcesses/kGeneral
-// instances — and the rare branching RMW chain — reach the exact
-// frontier search. Verdicts are identical to the vmc cascade by
-// construction (every polynomial decider is sound, and any kUnknown
-// from a structural decider falls back to exact); the differential
-// suite in tests/analysis_test.cpp enforces that.
+// This is vermem's one per-address dispatcher: the service, the stream
+// path, vscc's coherence stage, the models layer and the CLIs all decide
+// coherence through it. The router classifies once from the
+// ProjectedView (a single arena scan, reusing AddressIndex stats) and
+// jumps straight to the fragment's polynomial decider; only
+// kBoundedProcesses/kGeneral instances — and the rare branching RMW
+// chain — reach the saturation tier and the exact frontier search.
+// Verdicts equal those of the plain sequential cascade (probe each
+// special case, then exact search) by construction: every polynomial
+// decider is sound, and any kUnknown from a structural decider falls
+// back to exact. The differential suites in tests/analysis_test.cpp and
+// tests/differential_test.cpp enforce that against the cascade kept in
+// the test oracle library (tests/oracles/cascade.hpp).
 
 #include <array>
 #include <cstdint>
@@ -20,16 +23,18 @@
 #include "analysis/fragment.hpp"
 #include "analysis/saturate/core.hpp"
 #include "sat/solver.hpp"
+#include "trace/address_index.hpp"
 #include "vmc/bounded.hpp"
 #include "vmc/checker.hpp"
+#include "vmc/exact.hpp"
 
 namespace vermem::analysis {
 
 /// Which decision procedure produced the verdict.
 enum class Decider : std::uint8_t {
   kTrivial,     ///< empty projection, vacuous verdict
-  kOneOp,       ///< poly/one_op
-  kWriteOnce,   ///< poly/write_once
+  kOneOp,       ///< one op per process (vmc/special, span poly.one_op)
+  kWriteOnce,   ///< read-map known (vmc/special, span poly.write_once)
   kWriteOrder,  ///< poly/write_order (Section 5.2)
   kRmwChain,    ///< poly/rmw_chain forced walk
   kSaturate,    ///< coherence-order saturation (analysis/saturate)
@@ -126,10 +131,13 @@ struct RouteOutcome {
     const vmc::ExactOptions& exact_options = {},
     const PortfolioOptions& portfolio = {});
 
-/// verify_coherence with routing provenance: same verdicts as the vmc
-/// entry points (addresses in sorted order, early exit bookkeeping via
-/// CoherenceReport), plus per-address fragments/deciders and aggregate
-/// routing counters for service stats.
+/// Whole-execution coherence: check_routed on every address in sorted
+/// order (addresses left once the deadline or cancel token fires report
+/// kUnknown "skipped"), aggregated into a CoherenceReport, plus
+/// per-address fragments/deciders and aggregate routing counters for
+/// service stats. `write_orders`, when non-null, maps addresses to their
+/// serialization logs; addresses without a log are decided as if none
+/// had been supplied.
 struct RoutedReport {
   vmc::CoherenceReport report;
   /// Parallel to report.addresses.

@@ -14,7 +14,7 @@
 //        buffered store *to its own address* (stores to different
 //        addresses reorder).
 //   CoherenceOnly   per-address coherence and nothing more, decided by
-//        the VMC cascade.
+//        the analysis router.
 //
 // The witness of a TSO/PSO kCoherent result is the *issue order* of the
 // program operations (drain events interleave with it internally); it is

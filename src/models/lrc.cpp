@@ -1,5 +1,6 @@
 #include "models/lrc.hpp"
 
+#include "analysis/router.hpp"
 #include "reductions/sync_wrap.hpp"
 
 namespace vermem::models {
@@ -31,7 +32,9 @@ vmc::CheckResult check_lrc_wrapped(const Execution& exec, Addr lock,
   // happens-before only transports values through the lock order, which
   // the per-address schedules embody).
   const Execution stripped = reductions::strip_synchronization(exec, lock);
-  const auto report = vmc::verify_coherence(stripped, options);
+  const AddressIndex index(stripped);
+  const auto report =
+      analysis::verify_coherence_routed(index, nullptr, options).report;
   switch (report.verdict) {
     case vmc::Verdict::kCoherent:
       return vmc::CheckResult::yes({});

@@ -4,10 +4,11 @@
 // appends a finished event to the calling thread's buffer. Parent links
 // come from a thread-local stack of open spans, so nesting is captured
 // without any caller plumbing. Attributes are bounded and allocation
-// free: up to four numeric and two string attrs per span, keys and
-// string values must be string literals (or otherwise outlive the trace
-// buffer) — exactly what the instrumentation sites need (fragment and
-// decider names come from constexpr to_string tables).
+// free: up to four numeric and two string attrs per span (exceeding
+// either cap asserts in debug builds), keys and string values must be
+// string literals (or otherwise outlive the trace buffer) — exactly what
+// the instrumentation sites need (fragment and decider names come from
+// constexpr to_string tables).
 //
 // Collection is gated on obs::tracing_enabled(): a disabled Span is one
 // relaxed load and a few stores to its own frame. Finished events go to
@@ -26,6 +27,7 @@
 // flight-recorder scratch so a captured slow/shed/wrong request carries
 // its own span tree (see obs/flight.hpp).
 
+#include <cassert>
 #include <cstdint>
 #include <iosfwd>
 
@@ -64,17 +66,26 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Attaches a numeric attribute; silently dropped past the cap or on
-  /// an inactive span. `key` must outlive the trace buffer.
+  /// Attaches a numeric attribute; ignored on an inactive span. An
+  /// instrumentation site that sets more than kMaxNumericAttrs is a bug:
+  /// debug builds assert, release builds drop the excess attribute.
+  /// `key` must outlive the trace buffer.
   void attr(const char* key, std::uint64_t value) noexcept {
-    if (!active_ || event_.num_numeric >= kMaxNumericAttrs) return;
+    if (!active_) return;
+    assert(event_.num_numeric < kMaxNumericAttrs &&
+           "span numeric attribute cap exceeded");
+    if (event_.num_numeric >= kMaxNumericAttrs) return;
     event_.numeric_keys[event_.num_numeric] = key;
     event_.numeric_values[event_.num_numeric] = value;
     ++event_.num_numeric;
   }
-  /// String attribute; both pointers must outlive the trace buffer.
+  /// String attribute, capped at kMaxStringAttrs the same way; both
+  /// pointers must outlive the trace buffer.
   void attr(const char* key, const char* value) noexcept {
-    if (!active_ || event_.num_strings >= kMaxStringAttrs) return;
+    if (!active_) return;
+    assert(event_.num_strings < kMaxStringAttrs &&
+           "span string attribute cap exceeded");
+    if (event_.num_strings >= kMaxStringAttrs) return;
     event_.string_keys[event_.num_strings] = key;
     event_.string_values[event_.num_strings] = value;
     ++event_.num_strings;

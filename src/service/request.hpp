@@ -26,8 +26,8 @@
 namespace vermem::service {
 
 enum class CheckMode : std::uint8_t {
-  /// Per-address memory coherence (the VMC cascade; polynomial Section
-  /// 5.2 path when write orders accompany the trace).
+  /// Per-address memory coherence (the analysis router; polynomial
+  /// Section 5.2 path when write orders accompany the trace).
   kCoherence,
   /// Sequential consistency via the VSCC pipeline: per-address coherence,
   /// witness merge, exact-SC fallback.

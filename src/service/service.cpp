@@ -400,7 +400,8 @@ VerificationResponse VerificationService::execute(Slot& slot) {
       // Shape-directed routing: classify each per-address projection into
       // its Figure 5.3 fragment and decide it with the dedicated
       // polynomial checker; only general-shaped instances reach the
-      // exact search. Verdicts match the plain vmc cascade.
+      // exact search. Verdicts match the plain sequential cascade (the
+      // test oracle in tests/oracles/cascade.hpp).
       analysis::PortfolioOptions portfolio;
       switch (slot.request.solver) {
         case SolverChoice::kAuto: break;

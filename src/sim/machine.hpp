@@ -28,7 +28,7 @@ struct SimResult {
   /// actually returned; final values are the post-flush memory image.
   Execution execution;
   /// Bus serialization of writing operations, per address, in original
-  /// trace coordinates (feed to vmc::verify_coherence_with_write_order).
+  /// trace coordinates (feed to analysis::verify_coherence_routed).
   vmc::WriteOrderMap write_orders;
   /// Global completion order of every operation — the event stream a
   /// verification unit would observe (feed to vmc::OnlineCoherenceChecker).

@@ -1,37 +1,17 @@
 #pragma once
-// Minimal fork-join parallelism for embarrassingly parallel sweeps.
+// Cooperative cancellation shared by every budgeted search.
 //
-// Coherence verification decomposes perfectly by address (coherence is a
-// per-location property), and the experiment harnesses sweep independent
-// seeds/sizes; parallel_for_each covers both. Deliberately tiny: spawn N
-// workers over an atomic index — no work stealing, no futures, no
-// executor framework. Exceptions from tasks are captured and rethrown
-// (first one wins) after all workers join, so RAII cleanup still runs.
-//
-// parallel_for_each_cancellable adds cooperative early exit: any task may
-// flip the shared CancellationToken and no *new* index is scheduled after
-// that (tasks already running finish normally). The coherence fleet uses
-// it to stop the sweep as soon as one address is proven incoherent.
+// A CancellationToken is a flag one party flips and long-running work
+// polls: the exact searches, the SAT solvers and the model checkers all
+// take a `const CancellationToken*` next to their deadline, and the
+// verification service hands each request its own.
 
 #include <atomic>
-#include <cstddef>
-#include <exception>
-#include <thread>
-#include <vector>
 
 namespace vermem {
 
-/// Number of workers to use for `requested` (0 = hardware concurrency).
-[[nodiscard]] inline std::size_t effective_workers(std::size_t requested,
-                                                   std::size_t items) {
-  std::size_t workers =
-      requested != 0 ? requested
-                     : std::max<unsigned>(1, std::thread::hardware_concurrency());
-  return std::min(workers, std::max<std::size_t>(1, items));
-}
-
-/// Shared flag a task flips to stop further scheduling. Reusable only per
-/// sweep: construct a fresh token for each parallel_for_each_cancellable.
+/// Shared flag a task flips to stop further work. Single-use: construct
+/// a fresh token for each cancellable unit of work.
 ///
 /// Tokens can be linked: a token constructed with a parent reports
 /// cancelled when either it or the parent is. The analysis portfolio
@@ -55,56 +35,5 @@ class CancellationToken {
   std::atomic<bool> cancelled_{false};
   const CancellationToken* parent_ = nullptr;
 };
-
-/// Applies `work(index)` for every index in [0, count) unless `token` is
-/// cancelled first: once cancelled, no new index starts (in-flight tasks
-/// complete). Indices are distributed over `workers` threads (0 =
-/// hardware concurrency); runs inline when one worker suffices.
-/// Exceptions from tasks stop scheduling and the first one is rethrown
-/// after all workers join.
-template <typename Work>
-void parallel_for_each_cancellable(std::size_t count, std::size_t workers,
-                                   CancellationToken& token, Work&& work) {
-  const std::size_t n = effective_workers(workers, count);
-  if (count == 0) return;
-  if (n <= 1 || count == 1) {
-    for (std::size_t i = 0; i < count && !token.cancelled(); ++i) work(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::atomic<bool> failed{false};
-
-  auto worker = [&] {
-    while (true) {
-      if (failed.load(std::memory_order_relaxed) || token.cancelled()) return;
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        work(i);
-      } catch (...) {
-        if (!failed.exchange(true)) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (std::size_t t = 0; t < n; ++t) threads.emplace_back(worker);
-  for (auto& thread : threads) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-/// Applies `work(index)` for every index in [0, count), distributing
-/// indices over `workers` threads (0 = hardware concurrency). Runs
-/// inline when count <= 1 or one worker suffices.
-template <typename Work>
-void parallel_for_each(std::size_t count, std::size_t workers, Work&& work) {
-  CancellationToken never;
-  parallel_for_each_cancellable(count, workers, never,
-                                std::forward<Work>(work));
-}
 
 }  // namespace vermem

@@ -25,7 +25,7 @@
 namespace vermem {
 
 /// Structural summary of one address, gathered during the indexing pass.
-/// These are exactly the probes the Figure 5.3 cascade dispatches on, so
+/// These are exactly the probes the Figure 5.3 router dispatches on, so
 /// checkers can pick a branch without touching the operations at all.
 struct AddressEntry {
   Addr addr = 0;

@@ -20,7 +20,7 @@ namespace {
 // its slots (support/flat_set.hpp). The DFS frame stack is SoA: one key
 // row per frame plus the frame's next branching choice; no schedule is
 // kept while searching, the witness is replayed from the choices on
-// success. See docs/ALGORITHMS.md §12 and exact_legacy.cpp for the
+// success. See docs/ALGORITHMS.md §12 and tests/oracles/vmc for the
 // pre-rework shape this replaces (kept as the differential oracle).
 class ExactSearch {
  public:

@@ -2,9 +2,10 @@
 // Polynomial-time special cases of VMC (Section 5 / Figure 5.3).
 //
 // Each checker first tests that its structural precondition holds and
-// returns kUnknown("not applicable: ...") when it does not, so callers can
-// build a dispatch cascade (try the cheap checkers, fall back to
-// check_exact). All kCoherent verdicts carry witness schedules.
+// returns kUnknown("not applicable: ...") when it does not, so a wrong
+// dispatch never yields a wrong verdict (the analysis router falls back
+// to the exact search on kUnknown). All kCoherent verdicts carry witness
+// schedules.
 
 #include "vmc/instance.hpp"
 #include "vmc/result.hpp"

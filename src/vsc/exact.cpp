@@ -15,8 +15,9 @@ namespace {
 // with the state widened to one current value per address: the key is
 // the k 32-bit positions, two per 64-bit word, followed by one word per
 // address value; the frame stack keeps one contiguous positions row and
-// one contiguous values row per frame. exact_legacy.cpp preserves the
-// pre-rework shape as the differential oracle.
+// one contiguous values row per frame. The test oracle library
+// (tests/oracles/vsc) preserves the pre-rework shape as the
+// differential oracle.
 class ScSearch {
  public:
   ScSearch(const AddressIndex& index, const ScOptions& options)

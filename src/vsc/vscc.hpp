@@ -2,17 +2,18 @@
 // VSCC (Definition 6.2): verifying sequential consistency for executions
 // promised (or verified) to be coherent.
 //
-// Pipeline: (1) verify coherence per address, collecting witness
-// schedules; (2) attempt the O(n log n) VSC-Conflict merge of those
-// witnesses; (3) optionally fall back to the exact SC search when the
-// merge fails — because, as Section 6.3 stresses, a failed merge only
-// proves that *this* set of coherent schedules is wrong, not that the
-// execution is not SC. The report keeps all three stages visible so the
-// gap between the merge heuristic and the exact answer is measurable
-// (bench_fig62_vscc).
+// Pipeline: (1) verify coherence per address through the analysis
+// router, collecting witness schedules; (2) attempt the O(n log n)
+// VSC-Conflict merge of those witnesses; (3) optionally fall back to the
+// exact SC search when the merge fails — because, as Section 6.3
+// stresses, a failed merge only proves that *this* set of coherent
+// schedules is wrong, not that the execution is not SC. The report
+// keeps all three stages visible so the gap between the merge heuristic
+// and the exact answer is measurable (bench_fig62_vscc).
 
 #include "encode/sweep.hpp"
 #include "vmc/checker.hpp"
+#include "vmc/exact.hpp"
 #include "vsc/conflict.hpp"
 #include "vsc/exact.hpp"
 
@@ -34,6 +35,8 @@ struct VsccOptions {
   /// Warm answers keep the certification discipline: SAT witnesses are
   /// schedule-validated, and UNSAT answers re-derive typed (per-address)
   /// or RUP-certified (whole-trace) evidence through the cold paths.
+  /// Ignored when `write_orders` is set: the supplied serialization is
+  /// checked by the cold Section 5.2 path (used_sat_sweep reads false).
   bool use_sat_sweep = false;
   /// Budget knobs (deadline / cancel / max_conflicts) for sweep solves.
   sat::SolverOptions solver;

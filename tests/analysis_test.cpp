@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
+#include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
@@ -14,6 +18,9 @@
 #include "analysis/lint.hpp"
 #include "analysis/poly/write_order.hpp"
 #include "analysis/router.hpp"
+#include "obs/obs.hpp"
+#include "obs/span.hpp"
+#include "oracles/cascade.hpp"
 #include "trace/address_index.hpp"
 #include "trace/schedule.hpp"
 #include "vmc/checker.hpp"
@@ -353,7 +360,7 @@ TEST(Router, InvalidWriteOrderLogNeverFallsBack) {
   EXPECT_EQ(report.fragments[0], Fragment::kWriteOrder);
   EXPECT_EQ(report.deciders[0], Decider::kWriteOrder);
   EXPECT_EQ(report.report.verdict,
-            vmc::verify_coherence_with_write_order(exec, bad).verdict);
+            oracles::verify_coherence_with_write_order(exec, bad).verdict);
 }
 
 // --- differential: routed deciders vs exact -------------------------------
@@ -455,7 +462,7 @@ TEST(DifferentialRouting, WriteOrderMatchesVmcEntryPoint) {
 
     EXPECT_EQ(
         routed.report.verdict,
-        vmc::verify_coherence_with_write_order(trace.execution, orders)
+        oracles::verify_coherence_with_write_order(trace.execution, orders)
             .verdict)
         << "seed " << seed;
   }
@@ -476,7 +483,7 @@ TEST(DifferentialRouting, MultiAddressAgreesWithVmcCascade) {
     const AddressIndex index(trace.execution);
     const analysis::RoutedReport routed =
         analysis::verify_coherence_routed(index);
-    const vmc::CoherenceReport cascade = vmc::verify_coherence(index);
+    const vmc::CoherenceReport cascade = oracles::verify_coherence(index);
     EXPECT_EQ(routed.report.verdict, cascade.verdict) << "seed " << seed;
     ASSERT_EQ(routed.report.addresses.size(), cascade.addresses.size());
     for (std::size_t i = 0; i < cascade.addresses.size(); ++i)
@@ -485,6 +492,89 @@ TEST(DifferentialRouting, MultiAddressAgreesWithVmcCascade) {
           << "seed " << seed << " addr index " << i;
     EXPECT_EQ(routed.poly_routed + routed.exact_routed,
               index.num_addresses());
+  }
+}
+
+// --- tracing: documented span attributes ----------------------------------
+
+/// Span name -> attribute keys of every exported event with that name,
+/// parsed from write_chrome_trace output (one event per line).
+std::map<std::string, std::vector<std::set<std::string>>> exported_span_attrs() {
+  std::ostringstream out;
+  obs::write_chrome_trace(out);
+  std::map<std::string, std::vector<std::set<std::string>>> spans;
+  std::istringstream lines(out.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::string prefix = "{\"name\":\"";
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::string name =
+        line.substr(prefix.size(), line.find('"', prefix.size()) - prefix.size());
+    const std::size_t args = line.find("\"args\":{");
+    if (args == std::string::npos) continue;
+    std::set<std::string> keys;
+    for (std::size_t at = line.find('{', args); at != std::string::npos;
+         at = line.find(",\"", at + 1)) {
+      const std::size_t begin = line.find('"', at) + 1;
+      keys.insert(line.substr(begin, line.find('"', begin) - begin));
+    }
+    spans[name].push_back(std::move(keys));
+  }
+  return spans;
+}
+
+TEST(RouterTracing, DocumentedSpanAttributesArePresent) {
+  // A span holds at most obs::kMaxNumericAttrs numeric attributes; one
+  // set past the cap would vanish from the export. Route a general
+  // address through saturation + exact search, then race the portfolio
+  // on it, and require every attribute docs/OBSERVABILITY.md lists.
+  std::optional<Execution> general;
+  for (std::uint64_t seed = 1; seed <= 64 && !general; ++seed) {
+    workload::SingleAddressParams params;
+    params.num_histories = 4;
+    params.ops_per_history = 6;
+    params.num_values = 2;
+    Xoshiro256ss rng(seed);
+    Execution exec = workload::generate_coherent(params, rng).execution;
+    const AddressIndex index(exec);
+    const analysis::RouteOutcome outcome =
+        analysis::check_routed(index.view_at(0), nullptr);
+    if (outcome.decider == Decider::kExact && outcome.saturation_ran)
+      general = std::move(exec);
+  }
+  ASSERT_TRUE(general.has_value()) << "no seed reached the exact search";
+
+  const bool was_tracing = obs::tracing_enabled();
+  obs::set_tracing_enabled(true);
+  obs::reset_trace();
+  {
+    const AddressIndex index(*general);
+    (void)analysis::verify_coherence_routed(index);
+    analysis::PortfolioOptions portfolio;
+    portfolio.enabled = true;
+    (void)analysis::verify_coherence_routed(index, nullptr, {}, portfolio);
+  }
+  obs::set_tracing_enabled(false);
+  EXPECT_EQ(obs::trace_dropped_count(), 0u);
+  const auto spans = exported_span_attrs();
+  obs::reset_trace();
+  obs::set_tracing_enabled(was_tracing);
+
+  const std::map<std::string, std::vector<std::string>> documented = {
+      {"analysis.route", {"addr", "ops", "fragment", "decider"}},
+      {"analysis.saturate",
+       {"writes", "edges", "rounds", "branch_points", "status", "kernel"}},
+      {"analysis.portfolio",
+       {"addr", "engines", "winner", "definite", "wasted_states"}},
+      {"vmc.exact",
+       {"states", "transitions", "max_frontier", "key_words", "verdict"}},
+  };
+  for (const auto& [name, keys] : documented) {
+    const auto it = spans.find(name);
+    ASSERT_NE(it, spans.end()) << name << " never exported";
+    for (const std::set<std::string>& event : it->second)
+      for (const std::string& key : keys)
+        EXPECT_TRUE(event.count(key)) << name << " lacks " << key;
   }
 }
 

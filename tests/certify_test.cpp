@@ -12,6 +12,7 @@
 #include "encode/naive.hpp"
 #include "encode/vmc_to_cnf.hpp"
 #include "encode/vsc_to_cnf.hpp"
+#include "oracles/cascade.hpp"
 #include "sat/brute.hpp"
 #include "sat/gen.hpp"
 #include "sat/proof.hpp"
@@ -395,7 +396,7 @@ TEST(Certificates, HandcraftedPolyKindsCheck) {
                    ExecutionBuilder().process(RW(0, 0, 1)).process(RW(0, 5, 6)).build(),
                    std::nullopt});
   for (const Case& test : cases) {
-    const vmc::CheckResult result = vmc::check_auto({test.exec, 0});
+    const vmc::CheckResult result = oracles::check_auto({test.exec, 0});
     ASSERT_EQ(result.verdict, vmc::Verdict::kIncoherent) << test.name;
     ASSERT_NE(result.incoherence(), nullptr) << test.name;
     if (test.kind) {
@@ -585,7 +586,7 @@ TEST(Certificates, MutatedCertificatesAreRejected) {
   };
   std::vector<Bundle> bundles;
   const auto collect = [&](Execution exec) {
-    const vmc::CheckResult result = vmc::check_auto({exec, 0});
+    const vmc::CheckResult result = oracles::check_auto({exec, 0});
     ASSERT_EQ(result.verdict, vmc::Verdict::kIncoherent);
     bundles.push_back({exec, address_cert(0, result)});
   };
@@ -700,7 +701,7 @@ TEST(Certificates, RandomMutantsNeverUpgradeVerdicts) {
                          .process(W(0, 1))
                          .process(W(0, 2))
                          .build();
-  const vmc::CheckResult result = vmc::check_auto({cycle, 0});
+  const vmc::CheckResult result = oracles::check_auto({cycle, 0});
   ASSERT_EQ(result.verdict, vmc::Verdict::kIncoherent);
   const certify::Certificate genuine = address_cert(0, result);
   for (int trial = 0; trial < 200; ++trial) {
@@ -865,7 +866,7 @@ TEST(CertificateText, ExecutionScopeKeepsEvidenceAddress) {
   vmc::WriteOrderMap orders;
   orders[2] = {OpRef{1, 0}, OpRef{0, 0}};
   const vmc::CoherenceReport report =
-      vmc::verify_coherence_with_write_order(exec, orders);
+      analysis::verify_coherence_routed(AddressIndex(exec), &orders).report;
   ASSERT_EQ(report.verdict, vmc::Verdict::kIncoherent);
   const auto* violation = report.first_violation();
   ASSERT_NE(violation, nullptr);

@@ -7,15 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/router.hpp"
 #include "encode/naive.hpp"
 #include "encode/vmc_to_cnf.hpp"
 #include "encode/vsc_to_cnf.hpp"
+#include "oracles/cascade.hpp"
 #include "reductions/sat_to_vmc.hpp"
 #include "sat/gen.hpp"
 #include "trace/address_index.hpp"
 #include "trace/schedule.hpp"
 #include "vmc/bounded.hpp"
-#include "vmc/checker.hpp"
 #include "vmc/exact.hpp"
 #include "vmc/online.hpp"
 #include "vmc/write_order.hpp"
@@ -42,7 +43,11 @@ std::vector<Verdicts> run_all(const VmcInstance& instance) {
   all.push_back({"bounded-k-bfs", vmc::check_bounded_k(instance)});
   all.push_back({"sat-production", encode::check_via_sat(instance)});
   all.push_back({"sat-naive", encode::check_via_sat_naive(instance)});
-  all.push_back({"auto-cascade", vmc::check_auto(instance)});
+  all.push_back({"auto-cascade", oracles::check_auto(instance)});
+  const AddressIndex index(instance.execution);
+  all.push_back({"routed", analysis::check_routed(index.view(instance.addr),
+                                                  nullptr)
+                               .result});
   return all;
 }
 

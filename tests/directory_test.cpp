@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/router.hpp"
 #include "sim/directory.hpp"
+#include "trace/address_index.hpp"
 #include "vmc/checker.hpp"
 #include "vsc/exact.hpp"
 #include "vsc/vscc.hpp"
@@ -37,8 +39,8 @@ TEST(Directory, CleanRunsAreCoherent) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
     const DirectoryResult result = run_random_dir(seed);
     EXPECT_EQ(result.stats.base.faults_injected, 0u);
-    const auto report = vmc::verify_coherence_with_write_order(
-        result.execution, result.write_orders);
+    const auto report = analysis::verify_coherence_routed(
+        AddressIndex(result.execution), &result.write_orders).report;
     EXPECT_TRUE(report.coherent())
         << "seed " << seed << ": "
         << (report.first_violation() ? report.first_violation()->result.reason()
@@ -64,8 +66,8 @@ TEST(Directory, EagerWritesStayCoherent) {
   for (const std::uint64_t seed : {21u, 22u, 23u, 24u, 25u}) {
     const DirectoryResult result =
         run_random_dir(seed, {}, 4, 40, /*eager_writes=*/true);
-    const auto report = vmc::verify_coherence_with_write_order(
-        result.execution, result.write_orders);
+    const auto report = analysis::verify_coherence_routed(
+        AddressIndex(result.execution), &result.write_orders).report;
     EXPECT_TRUE(report.coherent()) << "seed " << seed;
   }
 }
@@ -105,7 +107,9 @@ TEST(Directory, EagerWritesEventuallyViolateSc) {
     if (verdict.verdict == Verdict::kIncoherent) {
       ++sc_violations;
       // Sanity: still coherent per address.
-      EXPECT_TRUE(vmc::verify_coherence(result.execution).coherent());
+      EXPECT_TRUE(
+          analysis::verify_coherence_routed(AddressIndex(result.execution))
+              .report.coherent());
     }
   }
   EXPECT_GT(sc_violations, 0)
@@ -132,8 +136,8 @@ TEST(Directory, DroppedInvalidationIsAConsistencyBugNotACoherenceBug) {
     ++faulty_runs;
 
     // Coherence always survives.
-    const auto coherence = vmc::verify_coherence_with_write_order(
-        result.execution, result.write_orders);
+    const auto coherence = analysis::verify_coherence_routed(
+        AddressIndex(result.execution), &result.write_orders).report;
     EXPECT_TRUE(coherence.coherent()) << "seed " << seed;
 
     vsc::ScOptions sc;
@@ -190,8 +194,8 @@ TEST_P(DirectoryFaults, InjectedFaultsAreCaught) {
     const DirectoryResult result = run_random_dir(seed, plan);
     if (result.stats.base.faults_injected == 0) continue;
     ++injected_runs;
-    const auto report = vmc::verify_coherence_with_write_order(
-        result.execution, result.write_orders);
+    const auto report = analysis::verify_coherence_routed(
+        AddressIndex(result.execution), &result.write_orders).report;
     flagged_runs += report.verdict == Verdict::kIncoherent;
   }
   EXPECT_GT(injected_runs, 0);
@@ -225,9 +229,9 @@ TEST(Directory, SharedWorkloadsAgreeWithBusMachine) {
   const DirectoryResult dir = run_programs_directory(programs, dir_config);
 
   EXPECT_EQ(bus.execution.final_value(0), dir.execution.final_value(0));
-  EXPECT_TRUE(vmc::verify_coherence_with_write_order(dir.execution,
-                                                     dir.write_orders)
-                  .coherent());
+  EXPECT_TRUE(analysis::verify_coherence_routed(AddressIndex(dir.execution),
+                                                &dir.write_orders)
+                  .report.coherent());
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 
 #include "sim/directory.hpp"
 #include "sim/machine.hpp"
-#include "vmc/checker.hpp"
 #include "vmc/online.hpp"
+#include "vmc/write_order.hpp"
 #include "workload/random.hpp"
 
 namespace vermem::vmc {

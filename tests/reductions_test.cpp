@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/router.hpp"
 #include "encode/vmc_to_cnf.hpp"
 #include "reductions/restricted.hpp"
 #include "reductions/sat_to_vmc.hpp"
@@ -13,6 +14,7 @@
 #include "reductions/sync_wrap.hpp"
 #include "sat/brute.hpp"
 #include "sat/gen.hpp"
+#include "trace/address_index.hpp"
 #include "trace/schedule.hpp"
 #include "vmc/checker.hpp"
 #include "vmc/exact.hpp"
@@ -208,7 +210,8 @@ TEST(SatToVscc, CoherentByConstruction) {
         sat::random_ksat(static_cast<sat::Var>(3 + rng.below(3)),
                          1 + rng.below(6), 2 + rng.below(2), rng);
     const SatToVscc red = sat_to_vscc(cnf);
-    const auto report = vmc::verify_coherence(red.execution);
+    const AddressIndex index(red.execution);
+    const auto report = analysis::verify_coherence_routed(index).report;
     EXPECT_TRUE(report.coherent())
         << (report.first_violation()
                 ? std::to_string(report.first_violation()->addr) + ": " +

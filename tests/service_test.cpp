@@ -429,6 +429,25 @@ TEST(Service, VsccModeReportsSequentialConsistency) {
   EXPECT_FALSE(response.coherence.addresses.empty());
 }
 
+TEST(Service, VsccWriteOrderLogDecidesRegardlessOfSweep) {
+  // The log pins W(0,2) before W(0,1), so P2's R(0,1) R(0,2) is
+  // unservable. A lone request finds the warm sweep free; the verdict
+  // must still come from the supplied serialization.
+  VerificationService svc;
+  VerificationRequest request = coherence_request(exec_from(
+      "P: W(0,1)\n"
+      "P: W(0,2)\n"
+      "P: R(0,1) R(0,2)\n"));
+  request.mode = CheckMode::kVscc;
+  vmc::WriteOrderMap orders;
+  orders[0] = {{1, 0}, {0, 0}};
+  request.write_orders = orders;
+  const VerificationResponse response =
+      svc.submit(std::move(request)).response.get();
+  EXPECT_EQ(response.verdict, vmc::Verdict::kIncoherent);
+  EXPECT_FALSE(response.warm_sweep);
+}
+
 TEST(Service, StatsTrackVerdictsAndLatency) {
   VerificationService svc;
   (void)svc.submit(coherence_request(exec_from(kCoherentTrace))).response.get();

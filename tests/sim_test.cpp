@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/router.hpp"
 #include "sim/machine.hpp"
 #include "sim/program.hpp"
+#include "trace/address_index.hpp"
 #include "vmc/checker.hpp"
 #include "vsc/vscc.hpp"
 
@@ -35,8 +37,8 @@ TEST(Machine, CleanRunsAreCoherent) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const SimResult result = run_random(seed);
     EXPECT_EQ(result.stats.faults_injected, 0u);
-    const auto report = vmc::verify_coherence_with_write_order(
-        result.execution, result.write_orders);
+    const auto report = analysis::verify_coherence_routed(
+        AddressIndex(result.execution), &result.write_orders).report;
     EXPECT_TRUE(report.coherent())
         << "seed " << seed << ": "
         << (report.first_violation() ? report.first_violation()->result.reason()
@@ -88,8 +90,8 @@ TEST(Workloads, PingPongCounterSumsUp) {
   config.seed = 19;
   const SimResult result = run_programs(programs, config);
   EXPECT_EQ(result.execution.final_value(0), std::optional<Value>(50));
-  const auto report = vmc::verify_coherence_with_write_order(
-      result.execution, result.write_orders);
+  const auto report = analysis::verify_coherence_routed(
+      AddressIndex(result.execution), &result.write_orders).report;
   EXPECT_TRUE(report.coherent());
 }
 
@@ -100,8 +102,8 @@ TEST(Workloads, ProducerConsumerIsCoherent) {
   config.cache_lines = 2;
   config.seed = 23;
   const SimResult result = run_programs(programs, config);
-  const auto report = vmc::verify_coherence_with_write_order(
-      result.execution, result.write_orders);
+  const auto report = analysis::verify_coherence_routed(
+      AddressIndex(result.execution), &result.write_orders).report;
   EXPECT_TRUE(report.coherent());
 }
 
@@ -111,8 +113,8 @@ TEST(Workloads, LockContentionIsCoherent) {
   config.num_cores = 3;
   config.seed = 29;
   const SimResult result = run_programs(programs, config);
-  const auto report = vmc::verify_coherence_with_write_order(
-      result.execution, result.write_orders);
+  const auto report = analysis::verify_coherence_routed(
+      AddressIndex(result.execution), &result.write_orders).report;
   EXPECT_TRUE(report.coherent());
   // Ticket counter took 3*8 increments.
   EXPECT_EQ(result.execution.final_value(0), std::optional<Value>(24));
@@ -142,8 +144,8 @@ TEST_P(FaultDetection, InjectedFaultsAreCaught) {
     const SimResult result = run_random(seed, plan);
     if (result.stats.faults_injected == 0) continue;
     ++injected_runs;
-    const auto report = vmc::verify_coherence_with_write_order(
-        result.execution, result.write_orders);
+    const auto report = analysis::verify_coherence_routed(
+        AddressIndex(result.execution), &result.write_orders).report;
     flagged_runs += report.verdict == Verdict::kIncoherent;
   }
   EXPECT_GT(injected_runs, 0);
@@ -172,10 +174,11 @@ TEST(FaultDetection, CorruptLogFlagsTheLogNotTheMachine) {
     const SimResult result =
         run_random(seed, plan, /*cores=*/3, /*requests=*/12);
     if (result.stats.faults_injected == 0) continue;
-    const auto with_log = vmc::verify_coherence_with_write_order(
-        result.execution, result.write_orders);
+    const auto with_log = analysis::verify_coherence_routed(
+        AddressIndex(result.execution), &result.write_orders).report;
     if (with_log.verdict != Verdict::kIncoherent) continue;
-    const auto exact = vmc::verify_coherence(result.execution);
+    const auto exact =
+        analysis::verify_coherence_routed(AddressIndex(result.execution)).report;
     EXPECT_TRUE(exact.coherent());
     found_divergence = exact.coherent();
   }

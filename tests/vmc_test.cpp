@@ -1,16 +1,19 @@
 // Tests for the VMC checkers: the exact frontier search, the polynomial
 // special cases of Figure 5.3, the write-order algorithm of Section 5.2,
-// and the check_auto dispatch cascade. Every kCoherent verdict's witness
-// is re-validated with the certificate checker.
+// the check_auto cascade oracle, and whole-execution verification
+// through the analysis router. Every kCoherent verdict's witness is
+// re-validated with the certificate checker.
 
 #include <gtest/gtest.h>
 
+#include "analysis/router.hpp"
+#include "oracles/cascade.hpp"
+#include "oracles/vmc/exact_legacy.hpp"
+#include "trace/address_index.hpp"
 #include "trace/schedule.hpp"
 #include "vmc/bounded.hpp"
 #include "vmc/checker.hpp"
-#include "support/parallel.hpp"
 #include "vmc/exact.hpp"
-#include "vmc/exact_legacy.hpp"
 #include "vmc/packed_instance.hpp"
 #include "vmc/special.hpp"
 #include "vmc/write_order.hpp"
@@ -25,6 +28,13 @@ using workload::SingleAddressParams;
 
 VmcInstance make(const Execution& exec, Addr addr = 0) {
   return VmcInstance{exec, addr};
+}
+
+/// Whole-execution verification through the production dispatcher.
+CoherenceReport routed(const Execution& exec,
+                       const WriteOrderMap* write_orders = nullptr) {
+  const AddressIndex index(exec);
+  return analysis::verify_coherence_routed(index, write_orders).report;
 }
 
 void expect_valid_witness(const VmcInstance& instance, const CheckResult& result) {
@@ -599,7 +609,7 @@ TEST(CheckAuto, PicksSpecialCasesAndAgreesWithExact) {
     if (params.rmw_fraction == 1.0) params.write_fraction = 1.0;
     const auto trace = workload::generate_coherent(params, rng);
     const auto instance = make(trace.execution);
-    const auto dispatched = check_auto(instance);
+    const auto dispatched = oracles::check_auto(instance);
     const auto exact = check_exact(instance);
     EXPECT_EQ(dispatched.verdict, exact.verdict);
     if (dispatched.verdict == Verdict::kCoherent)
@@ -611,7 +621,7 @@ TEST(VerifyCoherence, MultiAddressCoherentTrace) {
   Xoshiro256ss rng(91);
   workload::MultiAddressParams params;
   const auto trace = workload::generate_sc(params, rng);
-  const auto report = verify_coherence(trace.execution);
+  const auto report = routed(trace.execution);
   EXPECT_TRUE(report.coherent());
   EXPECT_EQ(report.addresses.size(), trace.execution.addresses().size());
 }
@@ -624,7 +634,7 @@ TEST(VerifyCoherence, DetectsPlantedViolation) {
                         .process(R(1, 1), R(1, 2))
                         .process(R(1, 2), R(1, 1))
                         .build();
-  const auto report = verify_coherence(exec);
+  const auto report = routed(exec);
   EXPECT_EQ(report.verdict, Verdict::kIncoherent);
   ASSERT_NE(report.first_violation(), nullptr);
   EXPECT_EQ(report.first_violation()->addr, 1u);
@@ -638,7 +648,7 @@ TEST(VerifyCoherence, FirstViolationIsRecordedAtAggregation) {
                         .process(W(0, 1), W(2, 1), W(5, 1))
                         .process(R(2, 9), R(5, 9))
                         .build();
-  const auto report = verify_coherence(exec);
+  const auto report = routed(exec);
   EXPECT_EQ(report.verdict, Verdict::kIncoherent);
   ASSERT_NE(report.first_violation_index, CoherenceReport::kNoViolation);
   ASSERT_LT(report.first_violation_index, report.addresses.size());
@@ -648,17 +658,9 @@ TEST(VerifyCoherence, FirstViolationIsRecordedAtAggregation) {
             report.first_violation());
 
   // Coherent reports carry the sentinel and a null first_violation.
-  const auto clean =
-      verify_coherence(ExecutionBuilder().process(W(0, 1), R(0, 1)).build());
+  const auto clean = routed(ExecutionBuilder().process(W(0, 1), R(0, 1)).build());
   EXPECT_EQ(clean.first_violation_index, CoherenceReport::kNoViolation);
   EXPECT_EQ(clean.first_violation(), nullptr);
-
-  // The parallel sweep records the same index deterministically, even
-  // though its early-cancel may skip later addresses.
-  const auto parallel = verify_coherence_parallel(exec, 4);
-  EXPECT_EQ(parallel.first_violation_index, report.first_violation_index);
-  ASSERT_NE(parallel.first_violation(), nullptr);
-  EXPECT_EQ(parallel.first_violation()->addr, 2u);
 }
 
 TEST(VerifyCoherenceWithWriteOrder, UsesRecordedOrders) {
@@ -667,8 +669,7 @@ TEST(VerifyCoherenceWithWriteOrder, UsesRecordedOrders) {
   params.num_processes = 4;
   params.ops_per_process = 30;
   const auto trace = workload::generate_sc(params, rng);
-  const auto report =
-      verify_coherence_with_write_order(trace.execution, trace.write_orders);
+  const auto report = routed(trace.execution, &trace.write_orders);
   EXPECT_TRUE(report.coherent());
   // Witnesses come back in original coordinates and validate per address.
   for (const auto& [addr, result] : report.addresses) {
@@ -681,110 +682,8 @@ TEST(VerifyCoherenceWithWriteOrder, BadOrderRejects) {
   const auto exec = ExecutionBuilder().process(W(0, 1), W(0, 2)).build();
   WriteOrderMap orders;
   orders[0] = {{0, 1}, {0, 0}};
-  const auto report = verify_coherence_with_write_order(exec, orders);
+  const auto report = routed(exec, &orders);
   EXPECT_EQ(report.verdict, Verdict::kIncoherent);
-}
-
-// --- Parallel per-address verification -----------------------------------
-
-TEST(ParallelFor, CoversEveryIndexOnce) {
-  std::vector<std::atomic<int>> hits(100);
-  parallel_for_each(100, 4, [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(parallel_for_each(16, 4,
-                                 [](std::size_t i) {
-                                   if (i == 7) throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
-}
-
-TEST(ParallelFor, HandlesEmptyAndSingle) {
-  int calls = 0;
-  parallel_for_each(0, 4, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  parallel_for_each(1, 4, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(VerifyCoherenceParallel, MatchesSerialVerdicts) {
-  Xoshiro256ss rng(113);
-  for (int trial = 0; trial < 6; ++trial) {
-    workload::MultiAddressParams params;
-    params.num_processes = 4;
-    params.ops_per_process = 20;
-    params.num_addresses = 6;
-    const auto trace = workload::generate_sc(params, rng);
-
-    const auto serial = verify_coherence(trace.execution);
-    for (const std::size_t workers : {1, 2, 4}) {
-      const auto parallel = verify_coherence_parallel(trace.execution, workers);
-      EXPECT_EQ(parallel.verdict, serial.verdict);
-      ASSERT_EQ(parallel.addresses.size(), serial.addresses.size());
-      for (std::size_t i = 0; i < parallel.addresses.size(); ++i) {
-        EXPECT_EQ(parallel.addresses[i].addr, serial.addresses[i].addr);
-        EXPECT_EQ(parallel.addresses[i].result.verdict,
-                  serial.addresses[i].result.verdict);
-        // Witnesses certify regardless of which thread produced them.
-        if (parallel.addresses[i].result.verdict == Verdict::kCoherent) {
-          const auto valid = check_coherent_schedule(
-              trace.execution, parallel.addresses[i].addr,
-              parallel.addresses[i].result.witness);
-          EXPECT_TRUE(valid.ok) << valid.violation;
-        }
-      }
-    }
-  }
-}
-
-TEST(VerifyCoherenceParallel, EarlyCancelKeepsVerdictDeterministic) {
-  // Several incoherent addresses: whichever one a worker proves first
-  // cancels the fleet, but the aggregate verdict must always equal the
-  // sequential path's, on every thread schedule.
-  ExecutionBuilder builder;
-  builder.process(W(0, 1), W(1, 1), W(2, 1), W(3, 1));
-  for (Addr a = 0; a < 4; ++a) {
-    builder.process(W(a, 2));
-    builder.process(R(a, 1), R(a, 2));
-    builder.process(R(a, 2), R(a, 1));  // cross-reader conflict on every addr
-  }
-  const auto exec = builder.build();
-  const auto serial = verify_coherence(exec);
-  ASSERT_EQ(serial.verdict, Verdict::kIncoherent);
-  for (int round = 0; round < 10; ++round) {
-    const auto parallel = verify_coherence_parallel(exec, 4);
-    EXPECT_EQ(parallel.verdict, Verdict::kIncoherent);
-    EXPECT_EQ(parallel.addresses.size(), serial.addresses.size());
-    ASSERT_NE(parallel.first_violation(), nullptr);
-    // Skipped addresses (if any) are marked, never silently coherent.
-    for (const auto& report : parallel.addresses)
-      EXPECT_NE(report.result.verdict, Verdict::kCoherent);
-  }
-}
-
-TEST(VerifyCoherenceParallel, SharedIndexOverloadMatches) {
-  Xoshiro256ss rng(127);
-  workload::MultiAddressParams params;
-  params.num_processes = 4;
-  params.ops_per_process = 24;
-  params.num_addresses = 5;
-  const auto trace = workload::generate_sc(params, rng);
-  const AddressIndex index(trace.execution);
-  const auto direct = verify_coherence(trace.execution);
-  const auto via_index = verify_coherence(index);
-  const auto via_index_parallel = verify_coherence_parallel(index, 3);
-  ASSERT_EQ(via_index.addresses.size(), direct.addresses.size());
-  ASSERT_EQ(via_index_parallel.addresses.size(), direct.addresses.size());
-  EXPECT_EQ(via_index.verdict, direct.verdict);
-  EXPECT_EQ(via_index_parallel.verdict, direct.verdict);
-  for (std::size_t i = 0; i < direct.addresses.size(); ++i) {
-    EXPECT_EQ(via_index.addresses[i].result.verdict,
-              direct.addresses[i].result.verdict);
-    EXPECT_EQ(via_index_parallel.addresses[i].result.verdict,
-              direct.addresses[i].result.verdict);
-  }
 }
 
 // ---- Differential: arena/packed-key search vs frozen legacy ----------
@@ -1148,7 +1047,7 @@ TEST(Aggregation, PeakProvenanceTracksOwningAddress) {
   Execution merged = trace.execution;
   merged.add_history(ProcessHistory{std::vector<Operation>{W(0, 1)}});
 
-  const auto report = verify_coherence(merged);
+  const auto report = routed(merged);
   ASSERT_EQ(report.addresses.size(), 2u);
   // Address 1 (index 1 in sorted order) did the real search work.
   if (report.effort.states_visited > 0) {
@@ -1159,27 +1058,31 @@ TEST(Aggregation, PeakProvenanceTracksOwningAddress) {
     ASSERT_NE(report.peak_arena_index, CoherenceReport::kNoViolation);
     EXPECT_EQ(report.addresses[report.peak_arena_index].addr, 1u);
   }
-  // Sequential and parallel dispatch agree on effort totals and
-  // provenance (per-shard stats are merged, never dropped).
-  const auto parallel = verify_coherence_parallel(merged, 2);
-  EXPECT_EQ(parallel.effort.states_visited, report.effort.states_visited);
-  EXPECT_EQ(parallel.effort.max_frontier, report.effort.max_frontier);
-  EXPECT_EQ(parallel.peak_frontier_index, report.peak_frontier_index);
-  EXPECT_EQ(parallel.peak_visited_index, report.peak_visited_index);
-  EXPECT_EQ(parallel.peak_arena_index, report.peak_arena_index);
 }
 
 TEST(VerifyCoherenceParallel, FlagsViolationsLikeSerial) {
+  // The routed dispatcher flags the same addresses, in the same order,
+  // as the sequential cascade oracle it replaced.
   const auto exec = ExecutionBuilder()
                         .process(W(0, 1), W(1, 1))
                         .process(W(1, 2))
                         .process(R(1, 1), R(1, 2))
                         .process(R(1, 2), R(1, 1))
                         .build();
-  const auto report = verify_coherence_parallel(exec, 3);
+  const auto report = routed(exec);
+  const auto serial = oracles::verify_coherence(exec);
   EXPECT_EQ(report.verdict, Verdict::kIncoherent);
+  EXPECT_EQ(report.verdict, serial.verdict);
   ASSERT_NE(report.first_violation(), nullptr);
+  ASSERT_NE(serial.first_violation(), nullptr);
   EXPECT_EQ(report.first_violation()->addr, 1u);
+  EXPECT_EQ(report.first_violation_index, serial.first_violation_index);
+  ASSERT_EQ(report.addresses.size(), serial.addresses.size());
+  for (std::size_t i = 0; i < report.addresses.size(); ++i) {
+    EXPECT_EQ(report.addresses[i].addr, serial.addresses[i].addr);
+    EXPECT_EQ(report.addresses[i].result.verdict,
+              serial.addresses[i].result.verdict);
+  }
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/router.hpp"
+#include "oracles/vsc/exact_legacy.hpp"
+#include "trace/address_index.hpp"
 #include "trace/schedule.hpp"
 #include "vmc/checker.hpp"
 #include "vsc/conflict.hpp"
 #include "vsc/exact.hpp"
-#include "vsc/exact_legacy.hpp"
 #include "vsc/vscc.hpp"
 #include "workload/random.hpp"
 
@@ -16,6 +18,12 @@ namespace vermem::vsc {
 namespace {
 
 using vmc::Verdict;
+
+/// Per-address coherence through the production dispatcher.
+bool coherent(const Execution& exec) {
+  const AddressIndex index(exec);
+  return analysis::verify_coherence_routed(index).report.coherent();
+}
 
 // Classic message-passing violation: coherent per address, not SC.
 Execution mp_violation() {
@@ -34,7 +42,7 @@ TEST(ScExact, MpViolationIsNotSc) {
 }
 
 TEST(ScExact, MpViolationIsCoherentPerAddress) {
-  EXPECT_TRUE(vmc::verify_coherence(mp_violation()).coherent());
+  EXPECT_TRUE(coherent(mp_violation()));
 }
 
 TEST(ScExact, StoreBufferingIsNotSc) {
@@ -44,7 +52,7 @@ TEST(ScExact, StoreBufferingIsNotSc) {
                         .process(W(1, 1), R(0, 0))
                         .build();
   EXPECT_EQ(check_sc_exact(exec).verdict, Verdict::kIncoherent);
-  EXPECT_TRUE(vmc::verify_coherence(exec).coherent());
+  EXPECT_TRUE(coherent(exec));
 }
 
 TEST(ScExact, IriwIsNotSc) {
@@ -56,7 +64,7 @@ TEST(ScExact, IriwIsNotSc) {
                         .process(R(1, 1), R(0, 0))
                         .build();
   EXPECT_EQ(check_sc_exact(exec).verdict, Verdict::kIncoherent);
-  EXPECT_TRUE(vmc::verify_coherence(exec).coherent());
+  EXPECT_TRUE(coherent(exec));
 }
 
 TEST(ScExact, WitnessValidatesOnGeneratedTraces) {
@@ -210,6 +218,66 @@ TEST(Vscc, WriteOrderPathAgrees) {
   const auto report = check_vscc(trace.execution, options);
   EXPECT_TRUE(report.coherence.coherent());
   EXPECT_EQ(report.sc.verdict, Verdict::kCoherent) << report.sc.reason();
+}
+
+TEST(Vscc, WriteOrderLogIsHonouredWithSweepOffered) {
+  // The log serializes W(0,2) before W(0,1): P2's R(0,1) R(0,2) has no
+  // schedule under it, although the trace alone is coherent. Offering
+  // the warm sweep must not change that answer.
+  const auto exec = ExecutionBuilder()
+                        .process(W(0, 1))
+                        .process(W(0, 2))
+                        .process(R(0, 1), R(0, 2))
+                        .build();
+  vmc::WriteOrderMap orders;
+  orders[0] = {{1, 0}, {0, 0}};
+  for (const bool sweep : {false, true}) {
+    VsccOptions options;
+    options.write_orders = &orders;
+    options.use_sat_sweep = sweep;
+    const auto report = check_vscc(exec, options);
+    EXPECT_EQ(report.coherence.verdict, Verdict::kIncoherent) << sweep;
+    EXPECT_EQ(report.sc.verdict, Verdict::kIncoherent) << sweep;
+    EXPECT_FALSE(report.used_sat_sweep) << sweep;
+  }
+  EXPECT_TRUE(coherent(exec));
+}
+
+TEST(Vscc, SweepFlagNeverChangesWriteOrderVerdicts) {
+  // Seeded sweep over generated logs, half of them with two writes of
+  // one address swapped (which may or may not break coherence).
+  Xoshiro256ss rng(19);
+  int incoherent = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    workload::MultiAddressParams params;
+    params.num_processes = 2 + rng.below(3);
+    params.ops_per_process = 3 + rng.below(5);
+    params.num_addresses = 1 + rng.below(3);
+    params.num_values = 2;
+    const auto trace = workload::generate_sc(params, rng);
+    vmc::WriteOrderMap orders = trace.write_orders;
+    if (trial % 2 == 1) {
+      for (auto& [addr, order] : orders) {
+        if (order.size() < 2) continue;
+        const std::size_t i = rng.below(order.size() - 1);
+        std::swap(order[i], order[i + 1]);
+        break;
+      }
+    }
+    VsccOptions cold;
+    cold.write_orders = &orders;
+    VsccOptions warm = cold;
+    warm.use_sat_sweep = true;
+    const auto cold_report = check_vscc(trace.execution, cold);
+    const auto warm_report = check_vscc(trace.execution, warm);
+    EXPECT_EQ(warm_report.coherence.verdict, cold_report.coherence.verdict)
+        << "trial " << trial;
+    EXPECT_EQ(warm_report.sc.verdict, cold_report.sc.verdict)
+        << "trial " << trial;
+    EXPECT_FALSE(warm_report.used_sat_sweep);
+    incoherent += cold_report.coherence.verdict == Verdict::kIncoherent;
+  }
+  EXPECT_GT(incoherent, 0);
 }
 
 TEST(Vscc, FallbackRescuesWrongScheduleSets) {
