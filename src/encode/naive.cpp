@@ -115,7 +115,7 @@ NaiveEncoding encode_vmc_naive(const vmc::VmcInstance& instance) {
       initial_var = ctx.new_var();
       alo.push_back(sat::pos(initial_var));
     }
-    ctx.add_clause(std::move(alo));
+    ctx.add_clause(alo);
 
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       const std::size_t w = candidates[c];
@@ -164,7 +164,7 @@ NaiveEncoding encode_vmc_naive(const vmc::VmcInstance& instance) {
       for (const std::size_t other : write_nodes)
         if (other != w) ctx.add_binary(sat::neg(l), order_lit(other, w));
     }
-    ctx.add_clause(std::move(alo));
+    ctx.add_clause(alo);
   }
   return enc;
 }

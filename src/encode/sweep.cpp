@@ -141,7 +141,7 @@ void VscSweep::build(const Execution& exec, std::size_t n_old) {
   const auto ol = [this](std::size_t i, std::size_t j) {
     return order_lit(i, j);
   };
-  detail::emit_vsc_transitivity(ctx, n, n_old, ol);
+  detail::emit_transitivity(ctx, n, n_old, ol);
 
   // Program order: consecutive pairs; an extension only needs the pairs
   // whose later operation is new.

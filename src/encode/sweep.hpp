@@ -27,8 +27,8 @@
 // prepare() may be called repeatedly with successive snapshots of a
 // growing trace. When the new execution extends the previous one per
 // process (suffix extension), the skeleton is extended in place — new
-// order variables, delta transitivity (only triples touching a new
-// operation), new program-order units — and only the per-address frames
+// order variables, delta transitivity (only triangles whose largest node
+// is new), new program-order units — and only the per-address frames
 // are retired and re-emitted (their interval constraints quantify over
 // the write set, which may have grown, so the old frames are invalid;
 // retiring them neutralizes any frame-dependent learned clauses). When
@@ -114,6 +114,13 @@ class VscSweep {
     return solver_.num_retained();
   }
 
+  /// Literal "node i precedes node j" (i != j, both < num_operations()).
+  [[nodiscard]] sat::Lit order_lit(std::size_t i, std::size_t j) const {
+    return i < j ? sat::pos(order_rows_[j][i]) : sat::neg(order_rows_[i][j]);
+  }
+  /// Every clause loaded into the solver so far, skeleton and frames.
+  [[nodiscard]] sat::Cnf formula() const { return solver_.formula(); }
+
  private:
   struct Frame {
     Addr addr = 0;
@@ -122,9 +129,6 @@ class VscSweep {
     certify::Incoherence evidence;
   };
 
-  [[nodiscard]] sat::Lit order_lit(std::size_t i, std::size_t j) const {
-    return i < j ? sat::pos(order_rows_[j][i]) : sat::neg(order_rows_[i][j]);
-  }
   void build(const Execution& exec, std::size_t n_old);
   void emit_frames(const Execution& exec);
   [[nodiscard]] Outcome run(const std::vector<sat::Lit>& assumptions);

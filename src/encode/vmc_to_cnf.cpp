@@ -88,15 +88,8 @@ VmcEncoding encode_vmc(const vmc::VmcInstance& instance,
     return i < j ? sat::pos(enc.order_var(i, j)) : sat::neg(enc.order_var(j, i));
   };
 
-  // Transitivity over all ordered triples.
-  for (std::size_t i = 0; i < w; ++i)
-    for (std::size_t j = 0; j < w; ++j) {
-      if (j == i) continue;
-      for (std::size_t k = 0; k < w; ++k) {
-        if (k == i || k == j) continue;
-        ctx.add_ternary(~order_lit(i, j), ~order_lit(j, k), order_lit(i, k));
-      }
-    }
+  // Transitivity: two clauses per write triangle.
+  detail::emit_transitivity(ctx, w, 0, order_lit);
 
   // Program order between same-history writes (consecutive pairs suffice
   // by transitivity).
@@ -181,7 +174,7 @@ VmcEncoding encode_vmc(const vmc::VmcInstance& instance,
     // At least one candidate observed.
     sat::Clause alo;
     for (const sat::Var v : item.map_vars) alo.push_back(sat::pos(v));
-    ctx.add_clause(std::move(alo));
+    ctx.add_clause(alo);
 
     for (std::size_t c = 0; c < item.candidates.size(); ++c) {
       const std::size_t j = item.candidates[c];
@@ -277,7 +270,7 @@ VmcEncoding encode_vmc(const vmc::VmcInstance& instance,
         for (std::size_t k = 0; k < w; ++k)
           if (k != j) ctx.add_binary(sat::neg(l), order_lit(k, j));
       }
-      ctx.add_clause(std::move(alo));
+      ctx.add_clause(alo);
     }
   }
 

@@ -7,8 +7,9 @@
 //
 // Encoding (writes-centric; reads never get order variables):
 //   - A strict total order over writing operations: one boolean per
-//     unordered write pair, transitivity clauses over write triples,
-//     unit clauses for program order between same-history writes.
+//     unordered write pair, W(W-1)(W-2)/3 transitivity clauses (two per
+//     write triangle, forbidding its two 3-cycles), unit clauses for
+//     program order between same-history writes.
 //   - For every read r (or RMW read component), map variables m(r,w) over
 //     candidate writes w storing the value r observed (plus a virtual
 //     "initial value" candidate when applicable). Exactly-one is enforced
@@ -19,12 +20,12 @@
 //     anchor monotonicity of same-history reads.
 //   - Final-value constraint via "is the last write" selector variables.
 //
-// Sizes: O(W^2 + R*W) variables and O(W^3 + R*W^2) clauses, where W is
-// the number of writing operations and R the number of reads. Decoding a
-// model recovers the write serialization order; the Section 5.2
-// polynomial algorithm then reconstructs (and certifies) a full witness
-// schedule, so a bug in this encoder can never produce a false
-// "coherent" verdict.
+// Sizes: O(W^2 + R*W) variables and W(W-1)(W-2)/3 + O(W + R*W^2)
+// clauses, where W is the number of writing operations and R the number
+// of reads. Decoding a model recovers the write serialization order; the
+// Section 5.2 polynomial algorithm then reconstructs (and certifies) a
+// full witness schedule, so a bug in this encoder can never produce a
+// false "coherent" verdict.
 
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"

@@ -23,25 +23,6 @@
 
 namespace vermem::encode::detail {
 
-/// Transitivity of the total order over all ordered triples drawn from
-/// [0, n) with at least one index >= n_old. With n_old == 0 this is the
-/// full O(n^3) skeleton; with n_old == n of the previous emission it is
-/// exactly the delta a suffix extension needs (triples entirely inside
-/// the old prefix were already emitted and still stand).
-template <class OrderLit>
-void emit_vsc_transitivity(EmitContext& ctx, std::size_t n, std::size_t n_old,
-                           const OrderLit& order_lit) {
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      for (std::size_t l = 0; l < n; ++l) {
-        if (l == i || l == j) continue;
-        if (i < n_old && j < n_old && l < n_old) continue;
-        ctx.add_ternary(~order_lit(i, j), ~order_lit(j, l), order_lit(i, l));
-      }
-    }
-}
-
 /// Read semantics for one read node over its own address's writes: pick
 /// an observed write (or the initial value) and forbid any other write
 /// of that address from landing between the anchor and the read.
@@ -81,7 +62,7 @@ bool emit_vsc_read(EmitContext& ctx, const Execution& exec,
     initial_var = ctx.new_var();
     alo.push_back(sat::pos(initial_var));
   }
-  ctx.add_clause(std::move(alo));
+  ctx.add_clause(alo);
 
   for (std::size_t c = 0; c < candidates.size(); ++c) {
     const std::size_t w = candidates[c];
@@ -130,7 +111,7 @@ bool emit_vsc_final(EmitContext& ctx, const Execution& exec,
     for (const std::size_t other : addr_writes)
       if (other != w) ctx.add_binary(sat::neg(l), order_lit(other, w));
   }
-  ctx.add_clause(std::move(alo));
+  ctx.add_clause(alo);
   return true;
 }
 

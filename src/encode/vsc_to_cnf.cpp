@@ -56,8 +56,8 @@ VscEncoding encode_vsc(const Execution& exec) {
   // refutations against it.
   EmitContext ctx(enc.cnf);
 
-  // Transitivity over all ordered triples.
-  detail::emit_vsc_transitivity(ctx, n, 0, order_lit);
+  // Transitivity: two clauses per operation triangle.
+  detail::emit_transitivity(ctx, n, 0, order_lit);
 
   // Program order.
   {

@@ -5,12 +5,13 @@
 // so the writes-only trick from vmc_to_cnf does not decompose: a read's
 // placement interacts with reads of other addresses through program
 // order. This encoding therefore orders ALL operations (the multi-address
-// generalization of encode/naive.hpp): O(n^2) order variables, O(n^3)
-// transitivity clauses, and per-read interval constraints quantified over
-// the writes of the read's own address. Practical to n of a few hundred
-// operations — which is exactly the regime where the exact SC search
-// already struggles, making this the heavyweight fallback of the VSCC
-// pipeline and the cross-check oracle for check_sc_exact.
+// generalization of encode/naive.hpp): O(n^2) order variables,
+// n(n-1)(n-2)/3 transitivity clauses (two per operation triangle), and
+// per-read interval constraints quantified over the writes of the read's
+// own address. Practical to n of a few hundred operations — which is
+// exactly the regime where the exact SC search already struggles, making
+// this the heavyweight fallback of the VSCC pipeline and the cross-check
+// oracle for check_sc_exact.
 //
 // Decoded models are certified with check_sc_schedule before a coherent
 // verdict is reported.

@@ -149,7 +149,8 @@ DpllResult solve_dpll(const Cnf& cnf, Deadline deadline) {
   Dpll solver(cnf, deadline);
   DpllResult result = solver.run();
   if (result.status == Status::kSat && !cnf.satisfied_by(result.model)) std::abort();
-  record_sat_effort(span, result.stats.decisions, result.stats.propagations,
+  record_sat_effort(span, cnf.num_clauses(), result.stats.decisions,
+                    result.stats.propagations,
                     result.stats.backtracks, result.stats.restarts,
                     result.status);
   return result;

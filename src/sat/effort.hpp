@@ -2,7 +2,9 @@
 // Internal: one effort-reporting helper shared by the DPLL and CDCL
 // entry points, so both emit the same span-attribute and metric schema
 // (decisions / propagations / backtracks / restarts — DPLL's restarts
-// are structurally 0, see DpllStats).
+// are structurally 0, see DpllStats — plus the input-clause counter,
+// which is a metric only: a span holds at most obs::kMaxNumericAttrs
+// numeric attributes).
 
 #include <cstdint>
 
@@ -12,7 +14,9 @@
 
 namespace vermem::sat {
 
-inline void record_sat_effort(obs::Span& span, std::uint64_t decisions,
+/// `input_clauses` is the size of the formula the solve loaded.
+inline void record_sat_effort(obs::Span& span, std::uint64_t input_clauses,
+                              std::uint64_t decisions,
                               std::uint64_t propagations,
                               std::uint64_t backtracks, std::uint64_t restarts,
                               Status status) {
@@ -25,6 +29,8 @@ inline void record_sat_effort(obs::Span& span, std::uint64_t decisions,
   }
   if (obs::enabled()) {
     static const obs::Counter solves = obs::counter("vermem_sat_solves_total");
+    static const obs::Counter input_clause_count =
+        obs::counter("vermem_sat_input_clauses_total");
     static const obs::Counter decision_count =
         obs::counter("vermem_sat_decisions_total");
     static const obs::Counter propagation_count =
@@ -34,6 +40,7 @@ inline void record_sat_effort(obs::Span& span, std::uint64_t decisions,
     static const obs::Counter restart_count =
         obs::counter("vermem_sat_restarts_total");
     solves.add();
+    input_clause_count.add(input_clauses);
     decision_count.add(decisions);
     propagation_count.add(propagations);
     backtrack_count.add(backtracks);

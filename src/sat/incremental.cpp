@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <limits>
+#include <span>
 
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
@@ -98,6 +99,14 @@ class ActivityHeap {
   std::vector<int> position_;  ///< -1 when absent
 };
 
+/// Makes room for `extra` more elements, keeping growth geometric so
+/// repeated bulk loads stay amortized O(1) per element.
+template <class T>
+void reserve_more(std::vector<T>& v, std::size_t extra) {
+  if (v.size() + extra > v.capacity())
+    v.reserve(std::max(v.size() + extra, 2 * v.capacity()));
+}
+
 }  // namespace
 
 // The CDCL engine, persistent across solve() calls. Between calls the
@@ -129,7 +138,6 @@ struct IncrementalSolver::Impl {
     occurrences_.resize(2 * num_vars_);
     heap_.grow(num_vars_);
     heap_.insert(v);
-    inputs_.num_vars = num_vars_;
     return v;
   }
 
@@ -137,33 +145,44 @@ struct IncrementalSolver::Impl {
     while (num_vars_ < n) (void)new_var();
   }
 
-  bool add_clause(Clause clause) {
+  bool add_clause(std::span<const Lit> lits) {
     if (!ok_) return false;
-    if (!frames_.empty()) clause.push_back(neg(frames_.back()));
-    return add_root_clause(std::move(clause));
+    scratch_.assign(lits.begin(), lits.end());
+    if (!frames_.empty()) scratch_.push_back(neg(frames_.back()));
+    return add_root_clause();
   }
 
-  bool add_guarded(Var act, Clause clause) {
+  bool add_guarded(Var act, std::span<const Lit> lits) {
     if (!ok_) return false;
-    clause.push_back(neg(act));
-    return add_root_clause(std::move(clause));
+    scratch_.assign(lits.begin(), lits.end());
+    scratch_.push_back(neg(act));
+    return add_root_clause();
   }
 
-  // Adds one top-level clause. The solver is at decision level 0 here
-  // (solve() always backtracks before returning), and propagation is
-  // first driven to fixpoint so "false at level 0" below means "false
-  // and already processed" — which makes picking any two non-false
-  // literals as watches sound.
-  bool add_root_clause(Clause clause) {
+  /// The unit {~act} that retires a frame (added even after top-level
+  /// UNSAT, so formula() records every retirement).
+  void add_retirement(Var act) {
+    scratch_.assign(1, neg(act));
+    (void)add_root_clause();
+  }
+
+  // Adds scratch_ as one top-level clause. The solver is at decision
+  // level 0 here (solve() always backtracks before returning), and
+  // propagation is first driven to fixpoint so "false at level 0" below
+  // means "false and already processed" — which makes picking any two
+  // non-false literals as watches sound.
+  bool add_root_clause() {
     assert(decision_level() == 0);
     if (propagate() != kNoReason) return fail();
 
+    std::vector<Lit>& clause = scratch_;
     std::sort(clause.begin(), clause.end());
     clause.erase(std::unique(clause.begin(), clause.end()), clause.end());
     for (std::size_t i = 0; i + 1 < clause.size(); ++i)
       if (clause[i].var() == clause[i + 1].var()) return true;  // tautology
 
-    inputs_.clauses.push_back(clause);
+    input_lits_.insert(input_lits_.end(), clause.begin(), clause.end());
+    input_ends_.push_back(static_cast<std::uint32_t>(input_lits_.size()));
     if (clause.empty()) return fail();
     if (clause.size() == 1) {
       if (value(clause[0]) == kFalse) return fail();
@@ -180,19 +199,19 @@ struct IncrementalSolver::Impl {
     for (std::size_t i = 0; i < clause.size() && non_false < 2; ++i)
       if (value(clause[i]) != kFalse) std::swap(clause[non_false++], clause[i]);
     if (non_false == 0) {
-      attach(std::move(clause));
+      attach(clause);
       return fail();
     }
     if (non_false == 1) {
       const Lit unit = clause[0];
-      attach(std::move(clause));
+      attach(clause);
       if (value(unit) == kUndef) {
         enqueue(unit, kNoReason);
         if (propagate() != kNoReason) return fail();
       }
       return true;
     }
-    attach(std::move(clause));
+    attach(clause);
     return true;
   }
 
@@ -201,16 +220,25 @@ struct IncrementalSolver::Impl {
     return false;
   }
 
-  std::uint32_t attach(Clause clause) {
-    const auto ref = static_cast<std::uint32_t>(clauses_.size());
+  /// Copies a clause (at least two literals) into the arena and watches
+  /// it; returns its reference.
+  std::uint32_t attach(std::span<const Lit> lits) {
+    assert(arena_.size() + lits.size() < kNoReason);
+    const auto ref = static_cast<std::uint32_t>(arena_.size());
+    arena_.push_back(Lit::from_code(static_cast<std::uint32_t>(lits.size())));
+    arena_.insert(arena_.end(), lits.begin(), lits.end());
     if (options_.use_watched_literals) {
-      watches_[(~clause[0]).code()].push_back(ref);
-      watches_[(~clause[1]).code()].push_back(ref);
+      watches_[(~lits[0]).code()].push_back(ref);
+      watches_[(~lits[1]).code()].push_back(ref);
     } else {
-      for (const Lit l : clause) occurrences_[(~l).code()].push_back(ref);
+      for (const Lit l : lits) occurrences_[(~l).code()].push_back(ref);
     }
-    clauses_.push_back(std::move(clause));
     return ref;
+  }
+
+  /// The literals of the clause at `ref`. Valid until the next attach().
+  [[nodiscard]] std::span<Lit> clause_at(std::uint32_t ref) {
+    return {arena_.data() + ref + 1, arena_[ref].code()};
   }
 
   void enqueue(Lit l, std::uint32_t reason) {
@@ -235,7 +263,7 @@ struct IncrementalSolver::Impl {
       std::size_t keep = 0;
       for (std::size_t i = 0; i < watch_list.size(); ++i) {
         const std::uint32_t ref = watch_list[i];
-        Clause& clause = clauses_[ref];
+        const std::span<Lit> clause = clause_at(ref);
         // Normalize: the falsified literal (~p) goes to slot 1.
         const Lit false_lit = ~p;
         if (clause[0] == false_lit) std::swap(clause[0], clause[1]);
@@ -277,7 +305,7 @@ struct IncrementalSolver::Impl {
       const Lit p = trail_[propagate_head_++];
       ++stats_.propagations;
       for (const std::uint32_t ref : occurrences_[p.code()]) {
-        Clause& clause = clauses_[ref];
+        const std::span<Lit> clause = clause_at(ref);
         Lit unassigned{};
         int num_unassigned = 0;
         bool satisfied = false;
@@ -327,7 +355,7 @@ struct IncrementalSolver::Impl {
     std::uint32_t reason_ref = conflict;
     while (true) {
       assert(reason_ref != kNoReason);
-      const Clause& clause = clauses_[reason_ref];
+      const std::span<const Lit> clause = clause_at(reason_ref);
       const std::size_t start = have_p ? 1 : 0;  // skip the asserting literal
       for (std::size_t i = start; i < clause.size(); ++i) {
         const Lit q = clause[i];
@@ -394,7 +422,7 @@ struct IncrementalSolver::Impl {
         for (const Var v : marked) seen_[v] = 0;
         return false;
       }
-      const Clause& clause = clauses_[ref];
+      const std::span<const Lit> clause = clause_at(ref);
       for (std::size_t i = 1; i < clause.size(); ++i) {
         const Lit l = clause[i];
         if (seen_[l.var()] || level_[l.var()] == 0) continue;
@@ -432,7 +460,7 @@ struct IncrementalSolver::Impl {
         assert(level_[x] > 0);
         core.push_back(~trail_[i]);
       } else {
-        const Clause& clause = clauses_[reason_[x]];
+        const std::span<const Lit> clause = clause_at(reason_[x]);
         for (std::size_t j = 1; j < clause.size(); ++j)
           if (level_[clause[j].var()] > 0) seen_[clause[j].var()] = 1;
       }
@@ -613,7 +641,7 @@ struct IncrementalSolver::Impl {
     if (result.status != Status::kUnsat) export_proof(result, /*refuted=*/false);
     cancel_until(0);
     if (result.status == Status::kSat && options_.verify_models) {
-      bool satisfied = inputs_.satisfied_by(result.model);
+      bool satisfied = inputs().satisfied_by(result.model);
       for (const Lit a : assumps_)
         if (result.model[a.var()] == a.negated()) satisfied = false;
       // A model that does not satisfy the formula (or the assumptions)
@@ -622,6 +650,21 @@ struct IncrementalSolver::Impl {
     }
     result.stats = delta(before);
     return result;
+  }
+
+  /// Rebuilds the accepted input clauses as a Cnf, in load order.
+  [[nodiscard]] Cnf inputs() const {
+    Cnf cnf;
+    cnf.num_vars = num_vars_;
+    cnf.clauses.reserve(input_ends_.size());
+    std::size_t begin = 0;
+    for (const std::uint32_t end : input_ends_) {
+      cnf.clauses.emplace_back(
+          input_lits_.begin() + static_cast<std::ptrdiff_t>(begin),
+          input_lits_.begin() + static_cast<std::ptrdiff_t>(end));
+      begin = end;
+    }
+    return cnf;
   }
 
   [[nodiscard]] SolverStats delta(const SolverStats& before) const {
@@ -641,9 +684,17 @@ struct IncrementalSolver::Impl {
   Var num_vars_ = 0;
   bool ok_ = true;
 
-  Cnf inputs_;  ///< every accepted input clause, for formula()/proof replay
+  // Input log: every accepted input clause, flat (literals plus end
+  // offsets), for formula()/formula_with() and model verification.
+  std::vector<Lit> input_lits_;
+  std::vector<std::uint32_t> input_ends_;
+  std::vector<Lit> scratch_;  ///< the clause being loaded
 
-  std::vector<Clause> clauses_;
+  // Clause store (MiniSat's allocator shape): one literal arena holding,
+  // per clause, a header slot whose code is the literal count, then the
+  // literals. A clause reference is its header's offset; watch lists,
+  // occurrence lists and reasons hold these offsets.
+  std::vector<Lit> arena_;
   std::vector<std::vector<std::uint32_t>> watches_;      ///< by literal code
   std::vector<std::vector<std::uint32_t>> occurrences_;  ///< naive mode
 
@@ -681,12 +732,16 @@ SolverOptions& IncrementalSolver::options() noexcept { return impl_->options_; }
 Var IncrementalSolver::new_var() { return impl_->new_var(); }
 void IncrementalSolver::reserve_vars(Var n) { impl_->reserve_vars(n); }
 
-bool IncrementalSolver::add_clause(Clause clause) {
-  return impl_->add_clause(std::move(clause));
+bool IncrementalSolver::add_clause(std::span<const Lit> clause) {
+  return impl_->add_clause(clause);
 }
 
 bool IncrementalSolver::add_cnf(const Cnf& cnf) {
   impl_->reserve_vars(cnf.num_vars);
+  const std::size_t literals = cnf.num_literals();
+  reserve_more(impl_->input_lits_, literals);
+  reserve_more(impl_->input_ends_, cnf.num_clauses());
+  reserve_more(impl_->arena_, literals + cnf.num_clauses());
   for (const Clause& clause : cnf.clauses)
     if (!impl_->add_clause(clause)) return false;
   return true;
@@ -694,13 +749,11 @@ bool IncrementalSolver::add_cnf(const Cnf& cnf) {
 
 Var IncrementalSolver::new_activation() { return impl_->new_var(); }
 
-bool IncrementalSolver::add_guarded(Var act, Clause clause) {
-  return impl_->add_guarded(act, std::move(clause));
+bool IncrementalSolver::add_guarded(Var act, std::span<const Lit> clause) {
+  return impl_->add_guarded(act, clause);
 }
 
-void IncrementalSolver::retire(Var act) {
-  (void)impl_->add_root_clause(Clause{neg(act)});
-}
+void IncrementalSolver::retire(Var act) { impl_->add_retirement(act); }
 
 Var IncrementalSolver::push() {
   const Var act = impl_->new_var();
@@ -712,7 +765,7 @@ void IncrementalSolver::pop() {
   assert(!impl_->frames_.empty());
   const Var act = impl_->frames_.back();
   impl_->frames_.pop_back();
-  (void)impl_->add_root_clause(Clause{neg(act)});
+  impl_->add_retirement(act);
 }
 
 std::size_t IncrementalSolver::depth() const noexcept {
@@ -723,10 +776,10 @@ SolveResult IncrementalSolver::solve(const std::vector<Lit>& assumptions) {
   return impl_->run(assumptions);
 }
 
-const Cnf& IncrementalSolver::formula() const noexcept { return impl_->inputs_; }
+Cnf IncrementalSolver::formula() const { return impl_->inputs(); }
 
 Cnf IncrementalSolver::formula_with(const std::vector<Lit>& assumptions) const {
-  Cnf cnf = impl_->inputs_;
+  Cnf cnf = impl_->inputs();
   for (const Var act : impl_->frames_) cnf.clauses.push_back({pos(act)});
   for (const Lit a : assumptions) cnf.clauses.push_back({a});
   return cnf;

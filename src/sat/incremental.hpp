@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sat/cnf.hpp"
@@ -70,18 +71,27 @@ class IncrementalSolver {
   /// clauses added inside push() are guarded by that frame's activation
   /// literal). Returns false once the formula is unconditionally UNSAT
   /// at top level; further adds are ignored, matching one-shot load.
-  bool add_clause(Clause clause);
-  bool add_unit(Lit a) { return add_clause(Clause{a}); }
-  bool add_binary(Lit a, Lit b) { return add_clause(Clause{a, b}); }
-  bool add_ternary(Lit a, Lit b, Lit c) { return add_clause(Clause{a, b, c}); }
+  /// The literals are copied into the solver's clause arena; no
+  /// per-clause allocation.
+  bool add_clause(std::span<const Lit> clause);
+  bool add_unit(Lit a) { return add_clause(std::span<const Lit>(&a, 1)); }
+  bool add_binary(Lit a, Lit b) {
+    const Lit lits[] = {a, b};
+    return add_clause(lits);
+  }
+  bool add_ternary(Lit a, Lit b, Lit c) {
+    const Lit lits[] = {a, b, c};
+    return add_clause(lits);
+  }
 
-  /// Bulk-adds a whole formula (reserves its variable range first).
+  /// Bulk-adds a whole formula (reserves its variable range and clause
+  /// storage first).
   bool add_cnf(const Cnf& cnf);
 
   /// Fresh activation (selector) variable for an explicit frame.
   [[nodiscard]] Var new_activation();
   /// Stores (clause | ~act): enforced only when solve() assumes act.
-  bool add_guarded(Var act, Clause clause);
+  bool add_guarded(Var act, std::span<const Lit> clause);
   /// Permanently disables a frame by adding the unit {~act}.
   void retire(Var act);
 
@@ -101,9 +111,10 @@ class IncrementalSolver {
   /// formula_with(assumptions). Stats are per-call deltas.
   [[nodiscard]] SolveResult solve(const std::vector<Lit>& assumptions = {});
 
-  /// Every input clause accepted so far (after dedup; guarded clauses
-  /// include their ~act literal, retired frames their {~act} unit).
-  [[nodiscard]] const Cnf& formula() const noexcept;
+  /// Every input clause accepted so far, in load order (after dedup;
+  /// guarded clauses include their ~act literal, retired frames their
+  /// {~act} unit). Rebuilt from the solver's flat input log per call.
+  [[nodiscard]] Cnf formula() const;
   /// formula() plus one unit clause per assumption — the formula a
   /// per-call proof refutes.
   [[nodiscard]] Cnf formula_with(const std::vector<Lit>& assumptions) const;

@@ -26,7 +26,8 @@ SolveResult solve(const Cnf& cnf, const SolverOptions& options) {
   }
   // CDCL has no explicit backtrack counter; conflicts is the analogous
   // "undo" count in the shared effort schema.
-  record_sat_effort(span, result.stats.decisions, result.stats.propagations,
+  record_sat_effort(span, cnf.num_clauses(), result.stats.decisions,
+                    result.stats.propagations,
                     result.stats.conflicts, result.stats.restarts,
                     result.status);
   return result;

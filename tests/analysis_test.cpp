@@ -21,6 +21,8 @@
 #include "obs/obs.hpp"
 #include "obs/span.hpp"
 #include "oracles/cascade.hpp"
+#include "sat/dpll.hpp"
+#include "sat/solver.hpp"
 #include "trace/address_index.hpp"
 #include "trace/schedule.hpp"
 #include "vmc/checker.hpp"
@@ -527,7 +529,8 @@ TEST(RouterTracing, DocumentedSpanAttributesArePresent) {
   // A span holds at most obs::kMaxNumericAttrs numeric attributes; one
   // set past the cap would vanish from the export. Route a general
   // address through saturation + exact search, then race the portfolio
-  // on it, and require every attribute docs/OBSERVABILITY.md lists.
+  // on it, run both one-shot SAT solvers, and require every attribute
+  // docs/OBSERVABILITY.md lists.
   std::optional<Execution> general;
   for (std::uint64_t seed = 1; seed <= 64 && !general; ++seed) {
     workload::SingleAddressParams params;
@@ -553,6 +556,13 @@ TEST(RouterTracing, DocumentedSpanAttributesArePresent) {
     analysis::PortfolioOptions portfolio;
     portfolio.enabled = true;
     (void)analysis::verify_coherence_routed(index, nullptr, {}, portfolio);
+    sat::Cnf cnf;
+    const sat::Var x = cnf.new_var();
+    const sat::Var y = cnf.new_var();
+    cnf.add_clause({sat::pos(x), sat::pos(y)});
+    cnf.add_clause({sat::neg(x), sat::pos(y)});
+    (void)sat::solve(cnf);
+    (void)sat::solve_dpll(cnf);
   }
   obs::set_tracing_enabled(false);
   EXPECT_EQ(obs::trace_dropped_count(), 0u);
@@ -568,6 +578,10 @@ TEST(RouterTracing, DocumentedSpanAttributesArePresent) {
        {"addr", "engines", "winner", "definite", "wasted_states"}},
       {"vmc.exact",
        {"states", "transitions", "max_frontier", "key_words", "verdict"}},
+      {"sat.cdcl",
+       {"decisions", "propagations", "backtracks", "restarts", "status"}},
+      {"sat.dpll",
+       {"decisions", "propagations", "backtracks", "restarts", "status"}},
   };
   for (const auto& [name, keys] : documented) {
     const auto it = spans.find(name);

@@ -13,6 +13,7 @@
 #include "encode/vmc_to_cnf.hpp"
 #include "encode/vsc_to_cnf.hpp"
 #include "oracles/cascade.hpp"
+#include "oracles/encode/ordered_triples.hpp"
 #include "sat/brute.hpp"
 #include "sat/gen.hpp"
 #include "sat/proof.hpp"
@@ -475,6 +476,68 @@ TEST(Certificates, SatRouteCertificatesCheck) {
   ASSERT_NE(sc.incoherence(), nullptr);
   EXPECT_EQ(sc.incoherence()->kind, certify::IncoherenceKind::kRupRefutation);
   expect_checks(sb, execution_cert(sc), "sc rup");
+}
+
+TEST(Certificates, RupProofsReplayAcrossTransitivityShapes) {
+  // Earlier encoder versions emitted one transitivity clause per ordered
+  // write triple; encode_vmc now emits the two distinct clauses per
+  // triangle. The clause sets are equal, so a refutation logged against
+  // either formula must replay against the other: certificates issued
+  // by earlier versions stay checkable, and new ones check against the
+  // formula earlier checkers rebuild.
+  //
+  // Fault injection into coherent traces yields instances unit
+  // propagation alone refutes, so the instances here are random
+  // two-value op mixes; the incoherent ones whose refutation needed
+  // CDCL search are kept.
+  Xoshiro256ss rng(4242);
+  int searched = 0;
+  for (int trial = 0; trial < 400 && searched < 12; ++trial) {
+    ExecutionBuilder builder;
+    for (int p = 0; p < 4; ++p) {
+      std::vector<Operation> ops;
+      for (int i = 0; i < 6; ++i) {
+        const auto value = [&] { return static_cast<Value>(rng.below(2)); };
+        const double kind = rng.uniform01();
+        ops.push_back(kind < 0.4    ? W(0, value())
+                      : kind < 0.8 ? R(0, value())
+                                    : RW(0, value(), value()));
+      }
+      builder.process_ops(std::move(ops));
+    }
+    const Execution exec = builder.build();
+    const vmc::VmcInstance instance{exec, 0};
+    const encode::VmcEncoding enc = encode::encode_vmc(instance);
+    if (enc.trivially_incoherent) continue;
+    const sat::Cnf legacy = oracles::with_ordered_triples(
+        enc.cnf, enc.num_writes(), [&](std::size_t i, std::size_t j) {
+          return i < j ? sat::pos(enc.order_var(i, j))
+                       : sat::neg(enc.order_var(j, i));
+        });
+
+    sat::SolverOptions options;
+    options.log_proof = true;
+    const sat::SolveResult fresh = sat::solve(enc.cnf, options);
+    if (fresh.status != sat::Status::kUnsat) continue;
+    // Only refutations that needed real search: several learned clauses
+    // before the empty one.
+    if (fresh.proof.size() < 4) continue;
+    ++searched;
+    const sat::SolveResult old = sat::solve(legacy, options);
+    ASSERT_EQ(old.status, sat::Status::kUnsat) << "trial " << trial;
+
+    EXPECT_TRUE(sat::check_rup_proof(legacy, fresh.proof)) << "trial " << trial;
+    EXPECT_TRUE(sat::check_rup_proof(enc.cnf, old.proof)) << "trial " << trial;
+    // The full checker path vermemcert runs: it re-encodes the instance
+    // with the current encoder and replays the logged proof.
+    expect_checks(exec,
+                  address_cert(0, vmc::CheckResult::no(certify::rup_refutation(
+                                      0, old.proof))),
+                  "ordered-triple proof");
+    expect_checks(exec, address_cert(0, encode::check_via_sat(instance)),
+                  "current proof");
+  }
+  EXPECT_GE(searched, 12) << "too few instances needed CDCL search";
 }
 
 TEST(Certificates, ExactSearchCertificatesCheck) {

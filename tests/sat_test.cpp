@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "sat/brute.hpp"
 #include "sat/cnf.hpp"
 #include "sat/dpll.hpp"
@@ -276,6 +277,24 @@ TEST(Solver, ModelAlwaysCoversAllVariables) {
     ASSERT_EQ(result.status, Status::kSat);
     EXPECT_EQ(result.model.size(), cnf.num_vars);
   }
+}
+
+TEST(SolverMetrics, InputClausesCounterAdvancesByFormulaSize) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto input_clauses = [] {
+    for (const auto& [name, value] : obs::snapshot_metrics().counters)
+      if (name == "vermem_sat_input_clauses_total") return value;
+    return std::uint64_t{0};
+  };
+  const Cnf cnf = pigeonhole(3);
+  const std::uint64_t before = input_clauses();
+  (void)solve(cnf);
+  const std::uint64_t after_cdcl = input_clauses();
+  EXPECT_EQ(after_cdcl - before, cnf.num_clauses());
+  (void)solve_dpll(cnf);
+  EXPECT_EQ(input_clauses() - after_cdcl, cnf.num_clauses());
+  obs::set_enabled(was_enabled);
 }
 
 TEST(Solver, StatsArePopulated) {

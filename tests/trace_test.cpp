@@ -9,6 +9,7 @@
 #include "trace/schedule.hpp"
 #include "trace/stats.hpp"
 #include "trace/text_io.hpp"
+#include "tools/trace_stream.hpp"
 
 namespace vermem {
 namespace {
@@ -312,6 +313,17 @@ TEST(TextIo, ReportsErrorLine) {
   const auto result = parse_execution("P: W(0,1)\nP: banana\n");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.line, 2u);
+}
+
+TEST(TextIo, InlineWriteOrderLinesKeepErrorLineNumbers) {
+  // The CLIs split "wo" lines off before parsing the trace; the error
+  // must still name the line of the original text.
+  tools::TraceSource source;
+  tools::split_wo_lines("P: W(0,1)\nwo 0 0:0\nP: X(0,1)\n", source);
+  EXPECT_EQ(source.write_order_text, "wo 0 0:0\n");
+  const auto result = parse_execution(source.execution_text);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.line, 3u);
 }
 
 TEST(TextIo, RejectsUnknownDirective) {

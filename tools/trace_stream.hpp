@@ -29,13 +29,20 @@ struct TraceSource {
   std::string write_order_text;
 };
 
+/// Each "wo" line leaves an empty line behind in execution_text (the
+/// trace parser skips blank lines), so parse errors keep the line
+/// numbers of the original text.
 inline void split_wo_lines(const std::string& text, TraceSource& out) {
   std::istringstream lines(text);
   std::string line;
   while (std::getline(lines, line)) {
-    const bool is_wo = line.rfind("wo ", 0) == 0 || line == "wo";
-    (is_wo ? out.write_order_text : out.execution_text) += line;
-    (is_wo ? out.write_order_text : out.execution_text) += '\n';
+    if (line.rfind("wo ", 0) == 0 || line == "wo") {
+      out.write_order_text += line;
+      out.write_order_text += '\n';
+    } else {
+      out.execution_text += line;
+    }
+    out.execution_text += '\n';
   }
 }
 
