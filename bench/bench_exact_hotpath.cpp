@@ -1,5 +1,5 @@
-// Exact-search hot path: frozen pre-arena implementation vs the
-// arena/packed-key rework.
+// Exact-search hot path: frozen pre-arena implementations vs the
+// arena/packed-key frontier engine, for the VMC, SC and TSO/PSO searches.
 //
 // Both sides explore the identical state sequence (the differential
 // tests pin this), so every measured delta is pure representation cost:
@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "models/checker.hpp"
+#include "oracles/models/buffered_legacy.hpp"
 #include "oracles/vmc/exact_legacy.hpp"
 #include "oracles/vsc/exact_legacy.hpp"
 #include "support/format.hpp"
@@ -128,12 +130,16 @@ double time_run(Run&& run) {
   return timed.seconds() / reps;
 }
 
-bool same_search(const vmc::CheckResult& a, const vmc::CheckResult& b) {
+/// Same verdict, witness, states, transitions and max_frontier. The
+/// frozen store-buffer search never counted prunes, so `prunes` is
+/// compared only where the oracle counts them.
+bool same_search(const vmc::CheckResult& a, const vmc::CheckResult& b,
+                 bool compare_prunes = true) {
   return a.verdict == b.verdict && a.witness == b.witness &&
          a.stats.states_visited == b.stats.states_visited &&
          a.stats.transitions == b.stats.transitions &&
          a.stats.max_frontier == b.stats.max_frontier &&
-         a.stats.prunes == b.stats.prunes;
+         (!compare_prunes || a.stats.prunes == b.stats.prunes);
 }
 
 void run_sweep() {
@@ -198,6 +204,46 @@ void run_sweep() {
     point.legacy_sec =
         time_run([&] { return vsc::check_sc_exact_legacy(exec); });
     point.new_sec = time_run([&] { return vsc::check_sc_exact(exec); });
+    points.push_back(std::move(point));
+  }
+
+  // The TSO/PSO store-buffer search against its frozen buffer-vector
+  // shape, on SC traces over two addresses with 2 values and 20% RMW (so
+  // fences are exercised); the contended points have the size of the
+  // perfbench `hard` model traces, 4 processes x 8 ops. The legacy side
+  // copies every buffer into every DFS frame.
+  struct BufferedShape {
+    const char* name;
+    models::Model model;
+    std::size_t processes, ops;
+    bool alloc_bound;
+  };
+  const BufferedShape buffered_shapes[] = {
+      {"tso_small", models::Model::kTso, 2, 4, false},
+      {"tso_contended", models::Model::kTso, 4, 8, true},
+      {"pso_small", models::Model::kPso, 2, 4, false},
+      {"pso_contended", models::Model::kPso, 4, 8, true},
+  };
+  for (const BufferedShape& shape : buffered_shapes) {
+    workload::MultiAddressParams params;
+    params.num_processes = shape.processes;
+    params.ops_per_process = shape.ops;
+    params.num_addresses = 2;
+    params.num_values = 2;
+    params.rmw_fraction = 0.2;
+    Xoshiro256ss rng(19);
+    const Execution exec = workload::generate_sc(params, rng).execution;
+    HotpathPoint point;
+    point.name = shape.name;
+    point.alloc_bound = shape.alloc_bound;
+    const auto now = models::check_model(exec, shape.model);
+    const auto legacy = models::check_buffered_legacy(exec, shape.model);
+    point.differential_ok = same_search(now, legacy, /*compare_prunes=*/false);
+    point.states = now.stats.states_visited;
+    point.legacy_sec = time_run(
+        [&] { return models::check_buffered_legacy(exec, shape.model); });
+    point.new_sec =
+        time_run([&] { return models::check_model(exec, shape.model); });
     points.push_back(std::move(point));
   }
 

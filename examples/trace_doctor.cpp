@@ -94,11 +94,9 @@ int main(int argc, char** argv) {
   // --write-order file adds to it.
   tools::TraceSource source;
   tools::split_wo_lines(text, source);
-  if (!write_order_path.empty()) {
-    std::string wo_text;
-    if (!read_file(write_order_path, wo_text)) return 2;
-    source.write_order_text += wo_text;
-  }
+  std::string file_orders_text;
+  if (!write_order_path.empty() && !read_file(write_order_path, file_orders_text))
+    return 2;
 
   const ParseResult parsed = parse_execution(source.execution_text);
   if (!parsed.ok()) {
@@ -109,14 +107,27 @@ int main(int argc, char** argv) {
   const Execution& exec = parsed.execution;
   std::printf("%s\n", summarize(compute_stats(exec)).c_str());
 
-  const WriteOrderParseResult orders =
-      parse_write_orders(source.write_order_text);
+  // Each log is parsed on its own, so an error names its line in the
+  // trace or in the --write-order file.
+  WriteOrderParseResult orders = tools::parse_source_write_orders(source);
   if (!orders.ok()) {
     std::fprintf(stderr, "write-order parse error at line %zu: %s\n",
                  orders.line, orders.error.c_str());
     return 2;
   }
-  const bool has_orders = !source.write_order_text.empty();
+  const WriteOrderParseResult file_orders = parse_write_orders(file_orders_text);
+  if (!file_orders.ok()) {
+    std::fprintf(stderr, "%s: write-order parse error at line %zu: %s\n",
+                 write_order_path.c_str(), file_orders.line,
+                 file_orders.error.c_str());
+    return 2;
+  }
+  for (const auto& [addr, order] : file_orders.orders) {
+    auto& merged = orders.orders[addr];
+    merged.insert(merged.end(), order.begin(), order.end());
+  }
+  const bool has_orders =
+      !source.write_order_text.empty() || !file_orders_text.empty();
 
   vmc::Verdict verdict;
   std::string detail;

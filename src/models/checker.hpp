@@ -16,6 +16,9 @@
 //   CoherenceOnly   per-address coherence and nothing more, decided by
 //        the analysis router.
 //
+// SC, TSO and PSO are one frontier-search policy, vsc::check_memory_model,
+// with no, per-processor or per-address store buffers.
+//
 // The witness of a TSO/PSO kCoherent result is the *issue order* of the
 // program operations (drain events interleave with it internally); it is
 // not an SC schedule and is returned for diagnostics only.

@@ -35,6 +35,9 @@ class StateCodec {
     std::uint64_t mask = 0;   ///< low `bit_width(max)` bits, unshifted
   };
 
+  /// A one-word codec without fields, to be assigned a real layout.
+  StateCodec() = default;
+
   /// One field per entry of `maxima`, wide enough for 0..maxima[i].
   StateCodec(Arena& arena, std::span<const std::uint64_t> maxima)
       : fields_(arena.allocate_array<Field>(maxima.size())) {
@@ -82,7 +85,7 @@ class StateCodec {
   }
 
  private:
-  Field* fields_;
+  Field* fields_ = nullptr;
   std::size_t words_ = 1;
 };
 

@@ -4,6 +4,7 @@
 
 #include "support/arena.hpp"
 #include "support/flat_set.hpp"
+#include "vmc/frontier.hpp"
 #include "vmc/packed_instance.hpp"
 
 namespace vermem::vmc {
@@ -13,7 +14,8 @@ namespace vermem::vmc {
 // dense insertion ids double as the parent links for witness
 // reconstruction and index an id-ordered copy of each key, so the
 // per-state cost is one key row plus one ParentLink in the arena, with
-// no per-state heap allocation.
+// no per-state heap allocation. Budget, deadline and cancellation go
+// through the frontier engine's SearchBudget (vmc/frontier.hpp).
 CheckResult check_bounded_k(const VmcInstance& instance,
                             const BoundedKOptions& options) {
   if (const auto why = instance.malformed())
@@ -27,16 +29,15 @@ CheckResult check_bounded_k(const VmcInstance& instance,
 
   const std::size_t total_ops = instance.num_operations();
   SearchStats stats;
+  const SearchBudget budget{options.max_states, 0, options.deadline,
+                            options.cancel};
 
   Arena arena;
   const PackedInstance packed(instance, arena);
   const std::size_t words = packed.words();
   FlatKeySet visited(arena, words);
   const auto with_arena = [&](CheckResult result) {
-    result.stats.arena_reserved = arena.stats().reserved;
-    result.stats.arena_high_water = arena.stats().high_water;
-    result.stats.arena_allocations = arena.stats().allocations;
-    return result;
+    return with_arena_stats(std::move(result), arena);
   };
 
   /// Per visited-set id: the key (`words` words at id * words) and the
@@ -74,17 +75,7 @@ CheckResult check_bounded_k(const VmcInstance& instance,
   for (std::size_t step = 0; step < total_ops; ++step) {
     next_level.clear();
     for (const std::uint32_t id : level) {
-      if (options.max_states != 0 && stats.states_visited >= options.max_states)
-        return with_arena(CheckResult::unknown(
-            certify::UnknownReason::kBudget, "state budget exhausted", stats));
-      if ((stats.transitions & 0xff) == 0) {
-        if (options.deadline.expired())
-          return with_arena(CheckResult::unknown(
-              certify::UnknownReason::kDeadline, "deadline exceeded", stats));
-        if (options.cancel && options.cancel->cancelled())
-          return with_arena(CheckResult::unknown(
-              certify::UnknownReason::kCancelled, "cancelled", stats));
-      }
+      if (budget.exhausted(stats)) return with_arena(budget.give_up(stats));
 
       // Copied out: recording successors may move `keys`.
       std::copy_n(keys.data() + id * words, words, state);

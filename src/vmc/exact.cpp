@@ -6,214 +6,117 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "support/arena.hpp"
-#include "support/flat_set.hpp"
+#include "vmc/frontier.hpp"
 #include "vmc/packed_instance.hpp"
 
 namespace vermem::vmc {
 
 namespace {
 
-// The search runs on PackedInstance keys (vmc/packed_instance.hpp): the
-// state is W bit-packed words, W = 1 whenever the fields fit 64 bits.
-// Scheduling an op is an add plus a masked store on the key, completion
-// is one masked compare, and the visited set keeps the keys inline in
-// its slots (support/flat_set.hpp). The DFS frame stack is SoA: one key
-// row per frame plus the frame's next branching choice; no schedule is
-// kept while searching, the witness is replayed from the choices on
-// success. See docs/ALGORITHMS.md §12 and tests/oracles/vmc for the
-// pre-rework shape this replaces (kept as the differential oracle).
-class ExactSearch {
+// The VMC policy of the frontier search (vmc/frontier.hpp) runs on
+// PackedInstance keys (vmc/packed_instance.hpp): the state is W
+// bit-packed words, W = 1 whenever the fields fit 64 bits. A choice is
+// a history index; scheduling its op is an add plus a masked store on
+// the key, and completion is one masked compare. See
+// docs/ALGORITHMS.md §12 and §15 and tests/oracles/vmc for the pre-rework
+// shape this replaces (kept as the differential oracle).
+class VmcPolicy {
  public:
   using History = PackedInstance::History;
   using Op = PackedInstance::Op;
 
-  ExactSearch(const VmcInstance& instance, const ExactOptions& options,
-              Arena& arena)
+  VmcPolicy(const VmcInstance& instance, const ExactOptions& options,
+            Arena& arena)
       : instance_(instance),
         options_(options),
         packed_(instance, arena),
-        k_(static_cast<std::uint32_t>(packed_.num_histories())),
-        words_(packed_.words()),
-        key_(arena.allocate_array<std::uint64_t>(2 * words_)),
-        visited_(arena, words_) {}
+        k_(static_cast<std::uint32_t>(packed_.num_histories())) {}
 
-  [[nodiscard]] std::size_t key_words() const noexcept { return words_; }
+  [[nodiscard]] std::size_t words() const noexcept { return packed_.words(); }
 
-  CheckResult run() {
-    std::copy_n(packed_.initial_key(), words_, key_);
-    if (options_.eager_reads) close_reads(key_, nullptr);
-    if (packed_.complete(key_)) {
-      // Complete without scheduling a write: the instance has no writes
-      // (only pure reads of the initial value were consumed), so a final
-      // value other than the initial one is unwritable.
-      return packed_.final_ok(key_)
-                 ? CheckResult::yes(witness(), stats_)
-                 : CheckResult::no(
-                       certify::unwritable_final(instance_.addr,
-                                                 *instance_.final_value()),
-                       stats_);
-    }
-    remember_current();
-    push_frame();
+  void start(std::uint64_t* key, Schedule* witness) const {
+    std::copy_n(packed_.initial_key(), packed_.words(), key);
+    if (options_.eager_reads) close_reads(key, witness);
+  }
 
-    while (!next_choice_.empty()) {
-      if (budget_exhausted()) {
-        if (options_.deadline.expired())
-          return CheckResult::unknown(certify::UnknownReason::kDeadline,
-                                      "search deadline expired", stats_);
-        if (options_.cancel && options_.cancel->cancelled())
-          return CheckResult::unknown(certify::UnknownReason::kCancelled,
-                                      "search cancelled", stats_);
-        return CheckResult::unknown(certify::UnknownReason::kBudget,
-                                    "search budget exhausted", stats_);
-      }
-
-      // Restore the top frame's state: one key row.
-      const std::size_t top = next_choice_.size() - 1;
-      const std::uint64_t* row = frame_keys_.data() + top * words_;
-      for (std::size_t w = 0; w < words_; ++w) key_[w] = row[w];
-
-      // Find the next enabled candidate. With eager reads, pure reads are
-      // consumed by the closure, so only writing operations branch.
-      const std::uint32_t value = packed_.value(key_);
-      std::uint32_t p = next_choice_[top];
-      std::uint32_t pos = 0;
-      for (; p < k_; ++p) {
-        const History& h = packed_.history(p);
-        pos = PackedInstance::position(key_, h);
-        const Op op = h.ops[pos];  // the sentinel once h is done
-        if (options_.eager_reads && op.write == PackedInstance::kNone)
-          continue;
-        if (op.read != PackedInstance::kNone && op.read != value) continue;
-        if (options_.pruner && op.write != PackedInstance::kNone &&
-            !options_.pruner->satisfied(
-                [&](std::uint32_t q) {
-                  return PackedInstance::position(key_, packed_.history(q));
-                },
-                p, pos)) {
-          // A must-precede predecessor is still unscheduled: this branch
-          // violates a necessary ordering and cannot contain a witness.
-          ++stats_.oracle_prunes;
-          continue;
-        }
-        break;
-      }
-      if (p == k_) {
-        pop_frame();
+  /// The next enabled history at or after `p`. With eager reads, pure
+  /// reads are consumed by the closure, so only writing operations
+  /// branch.
+  std::uint32_t next(const std::uint64_t* key, std::uint32_t p,
+                     SearchStats& stats) const {
+    const std::uint32_t value = packed_.value(key);
+    for (; p < k_; ++p) {
+      const History& h = packed_.history(p);
+      const std::uint32_t pos = PackedInstance::position(key, h);
+      const Op op = h.ops[pos];  // the sentinel once h is done
+      if (options_.eager_reads && op.write == PackedInstance::kNone) continue;
+      if (op.read != PackedInstance::kNone && op.read != value) continue;
+      if (options_.pruner && op.write != PackedInstance::kNone &&
+          !options_.pruner->satisfied(
+              [&](std::uint32_t q) {
+                return PackedInstance::position(key, packed_.history(q));
+              },
+              p, pos)) {
+        // A must-precede predecessor is still unscheduled: this branch
+        // violates a necessary ordering and cannot contain a witness.
+        ++stats.oracle_prunes;
         continue;
       }
-      next_choice_[top] = p + 1;
-      ++stats_.transitions;
-
-      const History& h = packed_.history(p);
-      packed_.apply(key_, h, h.ops[pos]);
-      if (options_.eager_reads) close_reads(key_, nullptr);
-
-      if (packed_.complete(key_)) {
-        if (packed_.final_ok(key_)) return CheckResult::yes(witness(), stats_);
-        continue;  // frame state restored at loop head
-      }
-      if (!remember_current()) continue;  // state already explored
-      push_frame();
-      stats_.max_frontier =
-          std::max<std::uint64_t>(stats_.max_frontier, next_choice_.size());
+      return p;
     }
-    return CheckResult::no(
-        certify::search_exhaustion(instance_.addr, stats_.states_visited,
-                                   stats_.transitions),
-        stats_);
+    return kNoChoice;
+  }
+
+  void apply(std::uint64_t* key, std::uint32_t p, Schedule* witness) const {
+    const History& h = packed_.history(p);
+    const std::uint32_t pos = PackedInstance::position(key, h);
+    if (witness != nullptr) witness->push_back(OpRef{p, pos});
+    packed_.apply(key, h, h.ops[pos]);
+    if (options_.eager_reads) close_reads(key, witness);
+  }
+
+  [[nodiscard]] bool complete(const std::uint64_t* key) const noexcept {
+    return packed_.complete(key);
+  }
+  [[nodiscard]] bool accept(const std::uint64_t* key) const noexcept {
+    return packed_.final_ok(key);
+  }
+
+  /// A complete start state schedules no write (the instance has none;
+  /// only pure reads of the initial value were consumed), so a final
+  /// value other than the initial one is unwritable.
+  [[nodiscard]] certify::Incoherence refute(const std::uint64_t* key,
+                                            const SearchStats& stats) const {
+    if (key != nullptr)
+      return certify::unwritable_final(instance_.addr, *instance_.final_value());
+    return certify::search_exhaustion(instance_.addr, stats.states_visited,
+                                      stats.transitions);
   }
 
  private:
-  void push_frame() {
-    for (std::size_t w = 0; w < words_; ++w) frame_keys_.push_back(key_[w]);
-    next_choice_.push_back(0);
-  }
-
-  void pop_frame() {
-    frame_keys_.resize(frame_keys_.size() - words_);
-    next_choice_.pop_back();
-  }
-
-  /// The schedule that reached the current state, rebuilt once on
-  /// success: frame i branched on history next_choice_[i] - 1, and
-  /// every branch is followed by its (deterministic) read closure.
-  [[nodiscard]] Schedule witness() const {
-    Schedule schedule;
-    std::uint64_t* key = key_ + words_;  // second scratch row
-    std::copy_n(packed_.initial_key(), words_, key);
-    if (options_.eager_reads) close_reads(key, &schedule);
-    for (const std::uint32_t choice : next_choice_) {
-      const std::uint32_t p = choice - 1;
-      const History& h = packed_.history(p);
-      const std::uint32_t pos = PackedInstance::position(key, h);
-      schedule.push_back(OpRef{p, pos});
-      packed_.apply(key, h, h.ops[pos]);
-      if (options_.eager_reads) close_reads(key, &schedule);
-    }
-    return schedule;
-  }
-
-  [[nodiscard]] bool budget_exhausted() const {
-    if (options_.max_states != 0 && stats_.states_visited >= options_.max_states)
-      return true;
-    if (options_.max_transitions != 0 &&
-        stats_.transitions >= options_.max_transitions)
-      return true;
-    if ((stats_.transitions & 0xff) != 0) return false;
-    return options_.deadline.expired() ||
-           (options_.cancel && options_.cancel->cancelled());
-  }
-
   /// Eagerly schedules every enabled pure read. Sound and complete: a
   /// read does not change the location's value, so any coherent
   /// continuation can be reordered to execute enabled reads first. One
   /// pass suffices: the value is fixed throughout, so once a history's
   /// run of enabled reads is consumed its next op is not an enabled read.
-  /// Appends the consumed reads to `schedule` unless it is null (the
-  /// search itself keeps no schedule; see witness()).
-  void close_reads(std::uint64_t* key, Schedule* schedule) const {
+  void close_reads(std::uint64_t* key, Schedule* witness) const {
     const std::uint32_t value = packed_.value(key);
     for (std::uint32_t p = 0; p < k_; ++p) {
       const History& h = packed_.history(p);
       const std::uint32_t pos = PackedInstance::position(key, h);
       const Op op = h.ops[pos];
       if (op.run == 0 || op.read != value) continue;
-      if (schedule != nullptr)
+      if (witness != nullptr)
         for (std::uint32_t i = pos; i != pos + op.run; ++i)
-          schedule->push_back(OpRef{p, i});
+          witness->push_back(OpRef{p, i});
       key[h.position.word] += std::uint64_t{op.run} << h.position.shift;
     }
-  }
-
-  /// Returns false when the current state was seen before (memoization
-  /// on); always true with memoization off.
-  bool remember_current() {
-    ++stats_.states_visited;
-    if (!options_.memoize) return true;
-    if (!visited_.insert(key_).fresh) {
-      --stats_.states_visited;
-      ++stats_.prunes;
-      return false;
-    }
-    return true;
   }
 
   const VmcInstance& instance_;
   const ExactOptions& options_;
   const PackedInstance packed_;
   std::uint32_t k_;
-  std::size_t words_;
-
-  std::uint64_t* key_;  ///< the current state; a second row for witness()
-
-  // SoA frame stack: key row i of frame_keys_ belongs to frame i, whose
-  // next branching choice is next_choice_[i].
-  std::vector<std::uint64_t> frame_keys_;
-  std::vector<std::uint32_t> next_choice_;
-
-  FlatKeySet visited_;
-  SearchStats stats_;
 };
 
 }  // namespace
@@ -228,13 +131,11 @@ CheckResult check_exact(const VmcInstance& instance, const ExactOptions& options
     // The arena owns the compiled instance, the key scratch and every
     // visited key of this call.
     Arena arena;
-    ExactSearch search(instance, options, arena);
-    key_words = search.key_words();
-    result = search.run();
-    const ArenaStats& stats = arena.stats();
-    result.stats.arena_reserved = stats.reserved;
-    result.stats.arena_high_water = stats.high_water;
-    result.stats.arena_allocations = stats.allocations;
+    const VmcPolicy policy(instance, options, arena);
+    key_words = policy.words();
+    const SearchBudget budget{options.max_states, options.max_transitions,
+                              options.deadline, options.cancel};
+    result = FrontierSearch(policy, budget, options.memoize, arena).run();
   }
   if (span.active()) {
     // A span holds four numeric attributes (obs/span.hpp); the other

@@ -4,12 +4,13 @@
 // addresses, in which every read returns the immediately preceding write
 // to its address?
 //
-// Same frontier-search skeleton as vmc::check_exact, with the state
-// extended to one current value per address. Gibbons–Korach give the
-// O(n^k k^c) bound for k processes and c addresses; this search meets it
-// through memoization. Synchronization operations (Acq/Rel) participate
-// in the order but carry no data; under plain SC they are scheduled
-// eagerly like reads.
+// The same frontier search as vmc::check_exact (vmc/frontier.hpp), with
+// the state extended to one current value per address. Gibbons–Korach
+// give the O(n^k k^c) bound for k processes and c addresses; this search
+// meets it through memoization. Synchronization operations (Acq/Rel)
+// participate in the order but carry no data; under plain SC they are
+// scheduled eagerly like reads. The same policy, with store buffers,
+// decides TSO and PSO for models::check_model.
 
 #include "support/parallel.hpp"
 #include "support/stopwatch.hpp"
@@ -32,6 +33,22 @@ struct ScOptions {
   /// External cooperative cancellation; checked alongside the deadline.
   const CancellationToken* cancel = nullptr;
 };
+
+/// How a store reaches memory in check_memory_model.
+enum class StoreBuffer : std::uint8_t {
+  kNone,        ///< at once: sequential consistency
+  kFifo,        ///< through one FIFO per processor (TSO)
+  kPerAddress,  ///< through one FIFO per processor and address (PSO)
+};
+
+/// Decides whether a machine whose stores reach memory as `buffer` says
+/// could have produced the indexed execution. kNone is check_sc_exact.
+/// With store buffers the witness is the issue order, the eager read
+/// closure is off (every issue branches) and models::check_model's
+/// operational semantics apply (forwarding; RMWs and sync ops fence).
+[[nodiscard]] CheckResult check_memory_model(const AddressIndex& index,
+                                             StoreBuffer buffer,
+                                             const ScOptions& options);
 
 /// Decides VSC exactly. kCoherent here means "a sequentially consistent
 /// schedule exists"; the witness is that schedule. Builds a one-pass

@@ -5,14 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include "certify/certificate.hpp"
+#include "certify/check.hpp"
 #include "models/checker.hpp"
 #include "models/litmus.hpp"
 #include "models/lrc.hpp"
 #include "oracles/cascade.hpp"
+#include "oracles/models/buffered_legacy.hpp"
 #include "reductions/sat_to_vmc.hpp"
 #include "reductions/sync_wrap.hpp"
 #include "sat/brute.hpp"
 #include "sat/gen.hpp"
+#include "trace/text_io.hpp"
 #include "vmc/checker.hpp"
 #include "workload/random.hpp"
 
@@ -240,6 +244,150 @@ TEST(CascadeDifferential, CoherenceOnlyAndLrcMatchOracle) {
   }
   EXPECT_GT(coherent, 12u);
   EXPECT_GT(incoherent, 5u);
+}
+
+TEST(FinalOnlyAddress, RefutedAsUnwritableUnderSequentialAndBufferedModels) {
+  // `final 5 3` names an address no operation touches, so no schedule,
+  // buffered or not, can make it hold 3. The coherence path only judges
+  // touched addresses and answers coherent (docs/TRACE_FORMAT.md).
+  const auto parsed =
+      parse_execution("init 0 0\nfinal 5 3\nP: W(0,1)\nP: R(0,1)\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const Execution& exec = parsed.execution;
+  for (const Model m : {Model::kSc, Model::kTso, Model::kPso}) {
+    const auto result = check_model(exec, m);
+    ASSERT_EQ(result.verdict, Verdict::kIncoherent)
+        << to_string(m) << ": " << result.reason();
+    const certify::Incoherence* why = result.incoherence();
+    ASSERT_NE(why, nullptr);
+    EXPECT_EQ(why->kind, certify::IncoherenceKind::kUnwritableFinal)
+        << to_string(m);
+    EXPECT_EQ(why->addr, 5u);
+    const auto outcome = certify::check(
+        exec, certify::from_result(certify::Scope::kExecution, 0, result));
+    EXPECT_TRUE(outcome) << to_string(m) << ": " << outcome.violation;
+  }
+  EXPECT_EQ(check_model(exec, Model::kCoherenceOnly).verdict,
+            Verdict::kCoherent);
+}
+
+// --- TSO/PSO against the frozen store-buffer search -----------------------
+
+/// An SC trace over 2-4 processes and 1-3 addresses with RMWs, Acq/Rel
+/// fences sprinkled in and, when `fault` is set, one read rewritten to
+/// observe a different value.
+Execution random_buffered_trace(Xoshiro256ss& rng, bool fault) {
+  workload::MultiAddressParams params;
+  params.num_processes = 2 + rng.below(3);
+  params.ops_per_process = 2 + rng.below(3);
+  params.num_addresses = 1 + rng.below(3);
+  params.num_values = 2 + rng.below(2);
+  params.rmw_fraction = 0.2;
+  const Execution sc = workload::generate_sc(params, rng).execution;
+
+  std::vector<std::vector<Operation>> histories;
+  std::vector<OpRef> reads;
+  for (const auto& history : sc.histories()) {
+    std::vector<Operation>& ops = histories.emplace_back();
+    for (const Operation& op : history) {
+      if (rng.chance(0.15))
+        ops.push_back(rng.chance(0.5) ? Acq(op.addr) : Rel(op.addr));
+      if (op.kind == OpKind::kRead)
+        reads.push_back({static_cast<std::uint32_t>(histories.size() - 1),
+                         static_cast<std::uint32_t>(ops.size())});
+      ops.push_back(op);
+    }
+  }
+  if (fault && !reads.empty()) {
+    const OpRef r = reads[rng.below(reads.size())];
+    Operation& op = histories[r.process][r.index];
+    op.value_read = (op.value_read + 1) % (params.num_values + 1);
+  }
+  ExecutionBuilder builder;
+  for (auto& ops : histories) builder.process_ops(std::move(ops));
+  for (const auto& [addr, value] : sc.initial_values()) builder.initial(addr, value);
+  for (const auto& [addr, value] : sc.final_values())
+    builder.final_value(addr, value);
+  return builder.build();
+}
+
+void expect_same_search(const vmc::CheckResult& now,
+                        const vmc::CheckResult& legacy, const std::string& what) {
+  ASSERT_EQ(now.verdict, legacy.verdict) << what;
+  EXPECT_EQ(now.witness, legacy.witness) << what;
+  EXPECT_EQ(now.stats.states_visited, legacy.stats.states_visited) << what;
+  EXPECT_EQ(now.stats.transitions, legacy.stats.transitions) << what;
+  EXPECT_EQ(now.stats.max_frontier, legacy.stats.max_frontier) << what;
+}
+
+TEST(ModelsDifferential, MatchesLegacyOnRandomizedTraces) {
+  std::size_t admissible = 0, refuted = 0, pruned = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Xoshiro256ss rng(seed * 97);
+    const Execution exec = random_buffered_trace(rng, seed % 2 == 0);
+    for (const Model m : {Model::kTso, Model::kPso}) {
+      const auto now = check_model(exec, m);
+      const auto legacy = check_buffered_legacy(exec, m);
+      expect_same_search(now, legacy,
+                         "seed " + std::to_string(seed) + " " + to_string(m));
+      (now.coherent() ? admissible : refuted) += 1;
+      pruned += now.stats.prunes != 0;
+    }
+  }
+  EXPECT_GT(admissible, 10u);
+  EXPECT_GT(refuted, 5u);
+  EXPECT_GT(pruned, 10u);  // memo hits are counted, unlike the oracle
+}
+
+TEST(ModelsDifferential, MatchesLegacyOnLitmusSuite) {
+  for (const auto& test : standard_litmus_suite())
+    for (const Model m : {Model::kTso, Model::kPso})
+      expect_same_search(check_model(test.execution, m),
+                         check_buffered_legacy(test.execution, m),
+                         test.name + " " + to_string(m));
+}
+
+TEST(ModelsDifferential, StateBudgetStopsAtTheSameCounters) {
+  std::size_t cut = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Xoshiro256ss rng(seed * 131);
+    const Execution exec = random_buffered_trace(rng, seed % 2 == 0);
+    for (const Model m : {Model::kTso, Model::kPso}) {
+      const auto full = check_model(exec, m);
+      if (full.stats.states_visited < 4) continue;
+      ModelCheckOptions options;
+      options.max_states = full.stats.states_visited / 2;
+      const auto now = check_model(exec, m, options);
+      const auto legacy = check_buffered_legacy(exec, m, options);
+      const std::string what = "seed " + std::to_string(seed) + " " + to_string(m);
+      expect_same_search(now, legacy, what);
+      if (now.verdict != Verdict::kUnknown) continue;
+      ++cut;
+      ASSERT_NE(now.unknown_reason(), nullptr) << what;
+      EXPECT_EQ(now.unknown_reason()->reason, certify::UnknownReason::kBudget)
+          << what;
+    }
+  }
+  EXPECT_GT(cut, 5u);
+}
+
+TEST(ModelsDifferential, CancelledTokenYieldsCancelled) {
+  const auto suite = standard_litmus_suite();
+  CancellationToken token;
+  token.cancel();
+  ModelCheckOptions options;
+  options.cancel = &token;
+  for (const auto& test : suite) {
+    for (const Model m : {Model::kTso, Model::kPso}) {
+      const auto now = check_model(test.execution, m, options);
+      const auto legacy = check_buffered_legacy(test.execution, m, options);
+      expect_same_search(now, legacy, test.name + " " + to_string(m));
+      ASSERT_EQ(now.verdict, Verdict::kUnknown) << test.name;
+      ASSERT_NE(now.unknown_reason(), nullptr);
+      EXPECT_EQ(now.unknown_reason()->reason,
+                certify::UnknownReason::kCancelled);
+    }
+  }
 }
 
 }  // namespace

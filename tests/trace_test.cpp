@@ -324,6 +324,17 @@ TEST(TextIo, InlineWriteOrderLinesKeepErrorLineNumbers) {
   const auto result = parse_execution(source.execution_text);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.line, 3u);
+
+  // A bad "wo" line is named by its line in the original text too, and
+  // a trace without "wo" lines still has an empty write-order log.
+  tools::TraceSource bad;
+  tools::split_wo_lines("P: W(0,1)\nP: R(0,1)\nwo 0 banana\n", bad);
+  const auto orders = tools::parse_source_write_orders(bad);
+  EXPECT_FALSE(orders.ok());
+  EXPECT_EQ(orders.line, 3u);
+  tools::TraceSource plain;
+  tools::split_wo_lines("P: W(0,1)\nP: R(0,1)\n", plain);
+  EXPECT_TRUE(plain.write_order_text.empty());
 }
 
 TEST(TextIo, RejectsUnknownDirective) {

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "analysis/router.hpp"
+#include "certify/certificate.hpp"
+#include "certify/check.hpp"
 #include "oracles/vsc/exact_legacy.hpp"
 #include "trace/address_index.hpp"
 #include "trace/schedule.hpp"
+#include "trace/text_io.hpp"
 #include "vmc/checker.hpp"
 #include "vsc/conflict.hpp"
 #include "vsc/exact.hpp"
@@ -380,6 +383,31 @@ TEST(ScExactDifferential, MatchesLegacyUnderAblatedOptions) {
       }
     }
   }
+}
+
+TEST(ScExact, FinalOnlyAddressIsUnwritable) {
+  // A final value on an address no operation touches: no schedule can
+  // change it, so a final value other than the initial one refutes the
+  // trace before any search.
+  const auto parsed =
+      parse_execution("init 0 0\nfinal 5 3\nP: W(0,1)\nP: R(0,1)\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const auto result = check_sc_exact(parsed.execution);
+  ASSERT_EQ(result.verdict, Verdict::kIncoherent) << result.reason();
+  const certify::Incoherence* why = result.incoherence();
+  ASSERT_NE(why, nullptr);
+  EXPECT_EQ(why->kind, certify::IncoherenceKind::kUnwritableFinal);
+  EXPECT_EQ(why->addr, 5u);
+  const auto outcome = certify::check(
+      parsed.execution,
+      certify::from_result(certify::Scope::kExecution, 0, result));
+  EXPECT_TRUE(outcome) << outcome.violation;
+
+  // A final value equal to the initial one constrains nothing.
+  const auto same =
+      parse_execution("init 5 3\nfinal 5 3\nP: W(0,1)\nP: R(0,1)\n");
+  ASSERT_TRUE(same.ok()) << same.error;
+  EXPECT_EQ(check_sc_exact(same.execution).verdict, Verdict::kCoherent);
 }
 
 }  // namespace

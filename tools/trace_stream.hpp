@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "support/json.hpp"
+#include "trace/text_io.hpp"
 
 namespace vermem::tools {
 
@@ -27,23 +28,39 @@ struct TraceSource {
   std::string tag;
   std::string execution_text;
   std::string write_order_text;
+  std::vector<std::size_t> write_order_lines;  ///< per write_order_text line
 };
 
 /// Each "wo" line leaves an empty line behind in execution_text (the
 /// trace parser skips blank lines), so parse errors keep the line
-/// numbers of the original text.
+/// numbers of the original text. write_order_text holds the "wo" lines
+/// alone (empty when there are none: the "no log" case), and
+/// write_order_lines their original line numbers.
 inline void split_wo_lines(const std::string& text, TraceSource& out) {
   std::istringstream lines(text);
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(lines, line)) {
+    ++line_no;
     if (line.rfind("wo ", 0) == 0 || line == "wo") {
       out.write_order_text += line;
       out.write_order_text += '\n';
+      out.write_order_lines.push_back(line_no);
     } else {
       out.execution_text += line;
     }
     out.execution_text += '\n';
   }
+}
+
+/// Parses a source's write-order log; an error names its line in the
+/// original text.
+inline WriteOrderParseResult parse_source_write_orders(const TraceSource& source) {
+  WriteOrderParseResult result = parse_write_orders(source.write_order_text);
+  if (!result.ok() && result.line >= 1 &&
+      result.line <= source.write_order_lines.size())
+    result.line = source.write_order_lines[result.line - 1];
+  return result;
 }
 
 /// Splits an already-read multi-trace text stream (traces separated by

@@ -119,10 +119,10 @@ int main(int argc, char** argv) {
     }
     execution = std::move(parsed.execution);
     if (!source.write_order_text.empty()) {
-      WriteOrderParseResult wo = parse_write_orders(source.write_order_text);
+      WriteOrderParseResult wo = tools::parse_source_write_orders(source);
       if (!wo.ok()) {
-        std::fprintf(stderr, "%s: write-order parse error: %s\n",
-                     input_tag.c_str(), wo.error.c_str());
+        std::fprintf(stderr, "%s: write-order parse error at line %zu: %s\n",
+                     input_tag.c_str(), wo.line, wo.error.c_str());
         return 2;
       }
       orders = std::move(wo.orders);

@@ -432,10 +432,10 @@ int main(int argc, char** argv) {
     service::VerificationRequest request;
     request.execution = std::move(parsed.execution);
     if (!source.write_order_text.empty()) {
-      WriteOrderParseResult orders = parse_write_orders(source.write_order_text);
+      WriteOrderParseResult orders = tools::parse_source_write_orders(source);
       if (!orders.ok()) {
-        std::fprintf(stderr, "%s: write-order parse error: %s\n",
-                     source.tag.c_str(), orders.error.c_str());
+        std::fprintf(stderr, "%s: write-order parse error at line %zu: %s\n",
+                     source.tag.c_str(), orders.line, orders.error.c_str());
         return exporters.finish(2);
       }
       request.write_orders.emplace(orders.orders.begin(), orders.orders.end());

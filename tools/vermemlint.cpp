@@ -157,11 +157,11 @@ bool parse_text_source(const tools::TraceSource& source,
   input.tag = source.tag;
   input.execution = std::move(parsed.execution);
   if (!source.write_order_text.empty()) {
-    WriteOrderParseResult parsed_orders =
-        parse_write_orders(source.write_order_text);
+    WriteOrderParseResult parsed_orders = tools::parse_source_write_orders(source);
     if (!parsed_orders.ok()) {
-      std::fprintf(stderr, "%s: write-order parse error: %s\n",
-                   source.tag.c_str(), parsed_orders.error.c_str());
+      std::fprintf(stderr, "%s: write-order parse error at line %zu: %s\n",
+                   source.tag.c_str(), parsed_orders.line,
+                   parsed_orders.error.c_str());
       return false;
     }
     input.orders.insert(parsed_orders.orders.begin(),
